@@ -1,11 +1,12 @@
 """Experiment runner: wall-clock decomposition, peak memory, scalability sweeps.
 
-A sweep varies one axis (entity count, number of fine-grained activations, or
-LP count) over a list of values, repeats each cell with derived sub-seeds, and
-emits one CSV row per value with means and standard deviations.  Peak memory
-is the process high-water mark, so honest per-run numbers require a fresh
-process per run; sweep mode therefore shells out to ``iotsim simulate`` by
-default, while in-process mode exists for tests and quick looks.
+A sweep varies one axis (any option but the seed and the schedule, or the
+number of fine-grained activations) over a list of values, repeats each cell
+with derived sub-seeds, and emits one CSV row per value with means and
+standard deviations.  Peak memory is the process high-water mark, so honest
+per-run numbers require a fresh process per run; sweep mode therefore shells
+out to ``iotsim simulate`` by default, while in-process mode exists for tests
+and quick looks.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import rng
-from .config import ConfigError, SimConfig, SpawnTrigger, config_to_file_text
+from .config import OPTIONS, ConfigError, SimConfig, SpawnTrigger, config_to_file_text
 from .level0 import RunResult, run_simulation
-
-AXES = ("num_ses", "num_l1_activations", "num_lps")
 
 
 def measure_peak_memory(pid: Optional[int] = None) -> Optional[int]:
@@ -146,17 +145,23 @@ def concurrent_schedule(
 
 # -- experiment plans ------------------------------------------------------------
 
+# What a plan can sweep, shaped like config.OPTIONS: every option except the
+# seed, which each repetition derives anew, and the schedule, whose values
+# contain commas; plus the synthetic count of evenly spaced activations.
+SWEEP_OPTIONS = {name: spec for name, spec in OPTIONS.items() if name not in ("seed", "l1-schedule")}
+SWEEP_OPTIONS["l1-activations"] = ("num_l1_activations", int)
+
 
 @dataclass(frozen=True, slots=True)
 class ExperimentPlan:
-    axis: str
-    values: tuple[int, ...]
+    axis: str  # a SimConfig field name from SWEEP_OPTIONS
+    values: tuple
     repetitions: int
     base: SimConfig
 
     def __post_init__(self) -> None:
-        if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}")
+        if self.axis not in {field_name for field_name, _ in SWEEP_OPTIONS.values()}:
+            raise ConfigError(f"cannot sweep {self.axis!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if not self.values:
@@ -164,17 +169,13 @@ class ExperimentPlan:
         for value in self.values:
             self.config_for(value, rep=0)  # validates eagerly
 
-    def config_for(self, value: int, rep: int) -> SimConfig:
+    def config_for(self, value, rep: int) -> SimConfig:
         sub_seed = rng.mix(self.base.seed, rng.SWEEP, self.values.index(value), rep)
-        if self.axis == "num_ses":
-            cfg = self.base.with_updates(num_ses=value)
-        elif self.axis == "num_lps":
-            cfg = self.base.with_updates(num_lps=value)
+        if self.axis == "num_l1_activations":
+            updates = {"l1_schedule": sequential_schedule(value, self.base.total_timesteps)}
         else:
-            cfg = self.base.with_updates(
-                l1_schedule=sequential_schedule(value, self.base.total_timesteps)
-            )
-        return cfg.with_updates(seed=sub_seed)
+            updates = {self.axis: value}
+        return self.base.with_updates(**updates, seed=sub_seed)
 
 
 def _run_in_subprocess(config: SimConfig) -> RunMetrics:
@@ -227,7 +228,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return statistics.fmean(values), statistics.pstdev(values)
 
 
-def _row_for(plan: ExperimentPlan, value: int, metrics: list[RunMetrics], failures: int) -> dict:
+def _row_for(plan: ExperimentPlan, value, metrics: list[RunMetrics], failures: int) -> dict:
     row: dict[str, object] = {
         "axis": plan.axis,
         "value": value,

@@ -10,26 +10,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bench import (
-    AXES,
-    ExperimentPlan,
-    collect_metrics,
-    measure_peak_memory,
-    run_experiment,
-)
-from .config import OPTIONS, ConfigError, SimConfig, read_config_file
+from .bench import SWEEP_OPTIONS, ExperimentPlan, collect_metrics, measure_peak_memory, run_experiment
+from .config import OPTIONS, ConfigError, SimConfig, parse_option, read_config_file, read_key_values
 from .level0 import SimulationError, run_simulation
 from .level1 import make_handlers
 from .protocol import Init, InstanceHandlers, ProtocolError, TcpTransport, serve_session
 
-_AXIS_ALIASES = {
-    "ses": "num_ses",
-    "num_ses": "num_ses",
-    "l1-activations": "num_l1_activations",
-    "num_l1_activations": "num_l1_activations",
-    "lps": "num_lps",
-    "num_lps": "num_lps",
-}
 # Sweeps default to desk scale; single runs keep the reference workload.
 SWEEP_DEFAULT_TIMESTEPS = 100
 
@@ -50,23 +36,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> SimConfig:
-    updates: dict[str, object] = {}
-    if args.config:
-        updates.update(read_config_file(args.config))
-    for name, (field_name, parser_fn) in OPTIONS.items():
-        if name == "l1-schedule":
-            raw_list = getattr(args, "flag_l1_schedule", None)
-            if raw_list:
-                updates[field_name] = parser_fn(",".join(raw_list))
-            continue
-        raw = getattr(args, f"flag_{name.replace('-', '_')}", None)
+    updates = read_config_file(args.config) if args.config else {}
+    for name in OPTIONS:
+        raw = getattr(args, f"flag_{name.replace('-', '_')}")
         if raw is not None:
-            try:
-                updates[field_name] = parser_fn(raw)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"--{name}: {exc}") from None
+            if name == "l1-schedule":  # repeatable flag
+                raw = ",".join(raw)
+            field_name, value = parse_option(name, raw, f"--{name}")
+            updates[field_name] = value
     return SimConfig(**updates)
 
 
@@ -138,40 +115,36 @@ _PLAN_KEYS = ("axis", "values", "reps", "mode")
 
 def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
     """Parse an experiment plan: plan keys plus base-config overrides."""
-    plan_raw: dict[str, str] = {}
+    plan: dict[str, tuple[str, str]] = {}
     config_updates: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for key, value, where in read_key_values(path):
         if key in _PLAN_KEYS:
-            plan_raw[key] = value
-        elif key in OPTIONS:
-            field_name, parser_fn = OPTIONS[key]
-            config_updates[field_name] = parser_fn(value)
+            plan[key] = (value, where)
         else:
-            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-    if "axis" not in plan_raw or "values" not in plan_raw:
+            field_name, parsed = parse_option(key, value, where)
+            config_updates[field_name] = parsed
+    if "axis" not in plan or "values" not in plan:
         raise ConfigError(f"{path}: plan needs at least axis= and values=")
-    axis = _AXIS_ALIASES.get(plan_raw["axis"])
-    if axis is None:
-        raise ConfigError(f"{path}: unknown axis {plan_raw['axis']!r}")
+    axis, where = plan["axis"]
+    name = next((n for n, (f, _) in SWEEP_OPTIONS.items() if axis in (n, f)), None)
+    if name is None:
+        raise ConfigError(
+            f"{where}: cannot sweep {axis!r}; an axis is an option or field name "
+            "other than seed and l1-schedule, or l1-activations"
+        )
+    text, where = plan["values"]
+    values = tuple(parse_option(name, v, where, SWEEP_OPTIONS)[1] for v in text.split(",") if v.strip())
+    reps_text, where = plan.get("reps", ("3", path))
     try:
-        values = tuple(int(v) for v in plan_raw["values"].split(",") if v.strip())
-        reps = int(plan_raw.get("reps", "3"))
+        reps = int(reps_text)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    mode = plan_raw.get("mode", "subprocess")
+        raise ConfigError(f"{where}: {exc}") from None
+    mode, where = plan.get("mode", ("subprocess", path))
     if mode not in ("subprocess", "in-process"):
-        raise ConfigError(f"{path}: mode must be subprocess or in-process")
+        raise ConfigError(f"{where}: mode must be subprocess or in-process")
     config_updates.setdefault("total_timesteps", SWEEP_DEFAULT_TIMESTEPS)
     base = SimConfig(**config_updates)
-    return ExperimentPlan(axis=axis, values=values, repetitions=reps, base=base), mode == "in-process"
+    return ExperimentPlan(SWEEP_OPTIONS[name][0], values, reps, base), mode == "in-process"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,10 +1,11 @@
-"""Run configuration and the key=value config file format."""
+"""Run configuration and its option grammar: CLI flags, key=value files, sweep plans."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Iterator
 
 from .world import ToroidalWorld
 
@@ -113,8 +114,6 @@ class SimConfig:
         return replace(self, **kw)
 
 
-# Canonical option names, shared by the CLI flags and the config file.
-# name -> (SimConfig field, parser)
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -131,6 +130,8 @@ def _parse_schedule(text: str) -> tuple[SpawnTrigger, ...]:
     return tuple(SpawnTrigger.parse(part) for part in text.split(","))
 
 
+# Canonical option names, shared by CLI flags, config files and sweep plans.
+# name -> (SimConfig field, parser)
 OPTIONS: dict[str, tuple[str, object]] = {
     "ses": ("num_ses", int),
     "mobile-fraction": ("mobile_fraction", float),
@@ -154,38 +155,48 @@ OPTIONS: dict[str, tuple[str, object]] = {
 }
 
 
-def read_config_file(path: str | Path) -> dict[str, object]:
-    """Parse a key=value file into SimConfig field updates.
+# SimConfig field -> option name, the inverse of OPTIONS.
+OPTION_NAMES = {field_name: name for name, (field_name, _) in OPTIONS.items()}
 
-    Keys are the CLI option names; blank lines and #-comments are ignored.
+
+def parse_option(name: str, text: str, source: str, options: dict = OPTIONS) -> tuple[str, object]:
+    """Parse ``text`` as the value of option ``name``: (SimConfig field, value).
+
+    ``source`` says where the text came from (``--flag`` or ``file:line``)
+    and prefixes every error.
     """
-    updates: dict[str, object] = {}
+    if name not in options:
+        raise ConfigError(f"{source}: unknown option {name!r}")
+    field_name, parser = options[name]
+    try:
+        return field_name, parser(text.strip())
+    except ValueError as exc:  # ConfigError included
+        raise ConfigError(f"{source}: {exc}") from None
+
+
+def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
+    """Yield (key, value, "path:line") per key=value line; blank lines and
+    #-comments are skipped."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        field_name, parser = OPTIONS[key]
-        try:
-            updates[field_name] = parser(value.strip())
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return updates
+        yield key.strip(), value.strip(), f"{path}:{lineno}"
+
+
+def read_config_file(path: str | Path) -> dict[str, object]:
+    """Parse a key=value file of option names into SimConfig field updates."""
+    return dict(parse_option(key, value, where) for key, value, where in read_key_values(path))
 
 
 def config_to_file_text(config: SimConfig) -> str:
     """Render a config as the key=value file format (round-trips)."""
-    by_field = {field_name: name for name, (field_name, _) in OPTIONS.items()}
     lines = []
     for f in fields(SimConfig):
-        name = by_field[f.name]
+        name = OPTION_NAMES[f.name]
         value = getattr(config, f.name)
         if f.name == "l1_schedule":
             rendered = ",".join(f"{t.at_timestep}:{t.lp_id}:{t.entity_count}" for t in value)

@@ -341,9 +341,8 @@ class SimEngine:
                     entity.mob_rng,
                 )
 
-    def _phase_migrate_out(self, lp: LogicalProcess) -> None:
-        # Reintegrations from last step's sessions re-enter here, then the
-        # normal stripe sweep re-homes whoever moved.
+    def _reintegrate(self, lp: LogicalProcess) -> None:
+        """Return the entities of last step's sessions to ``lp``."""
         for entity, record in lp.pending_reint:
             lx, ly = record.x, record.y
             if not (-REGION_TOL <= lx <= (lp.x1 - lp.x0) + REGION_TOL) or not (
@@ -359,6 +358,10 @@ class SimEngine:
             lp.entities[entity.id] = entity
         lp.pending_reint.clear()
 
+    def _phase_migrate_out(self, lp: LogicalProcess) -> None:
+        # Reintegrations from last step's sessions re-enter here, then the
+        # normal stripe sweep re-homes whoever moved.
+        self._reintegrate(lp)
         me = lp.lp_id
         for eid in [e.id for e in lp.entities.values() if self._stripe_of(e.x) != me]:
             entity = lp.entities.pop(eid)
@@ -501,6 +504,9 @@ class SimEngine:
         try:
             for t in range(self.config.total_timesteps):
                 self._lp_step(lp, t)
+            # A trigger on the last step leaves reintegrations pending; apply
+            # them so the final state is whole (the sessions did complete).
+            self._reintegrate(lp)
         except threading.BrokenBarrierError:
             return
         except BaseException as exc:  # noqa: BLE001 - must surface on the main thread
@@ -531,16 +537,6 @@ class SimEngine:
                 th.join()
         if self._failure is not None:
             raise SimulationError(f"run aborted: {self._failure}") from self._failure
-
-        # A trigger on the last step leaves reintegrations pending; apply them
-        # so the final state is whole (the sessions did complete).
-        for lp in self.lps:
-            for entity, record in lp.pending_reint:
-                entity.x, entity.y = self.world.wrap(lp.x0 + record.x, record.y)
-                entity.status = STATUS_ACTIVE
-                del lp.delegated[entity.id]
-                lp.entities[entity.id] = entity
-            lp.pending_reint.clear()
 
         audit = DeliveryAudit(self.record_receipts)
         for part in self._audits:

@@ -388,7 +388,7 @@ class SessionClient:
     def __init__(self, transport: Transport, timeout: float = DEFAULT_TIMEOUT) -> None:
         self.transport = transport
         self.timeout = timeout
-        self._init_ids: Optional[frozenset[int]] = None
+        self._init_ids: Optional[list[int]] = None
         self._done = False
 
     def _recv(self) -> CoordMessage:
@@ -411,7 +411,7 @@ class SessionClient:
             raise self._fail("protocol-violation", f"expected HELLO, got {type(msg).__name__}")
         if msg.version != PROTOCOL_VERSION:
             raise self._fail("version-mismatch", f"peer speaks version {msg.version}")
-        self._init_ids = frozenset(r.id for r in init.entities)
+        self._init_ids = sorted(r.id for r in init.entities)
         self.transport.send_line(encode(init))
 
     def step(self, timestep: int) -> StepResult:
@@ -432,8 +432,8 @@ class SessionClient:
         msg = self._recv()
         if not isinstance(msg, Final):
             raise self._fail("protocol-violation", f"expected FINAL, got {type(msg).__name__}")
-        final_ids = frozenset(r.id for r in msg.entities)
-        if final_ids != self._init_ids:
+        # A multiset compare: a repeated id is a mismatch too.
+        if sorted(r.id for r in msg.entities) != self._init_ids:
             raise self._fail("entity-mismatch", "FINAL entity ids differ from INIT")
         self._done = True
         return msg

@@ -1,12 +1,14 @@
 """Measurement plumbing, sweep plans, and the command-line front end."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 import iotsim.bench as bench
+from iotsim import rng
 from iotsim.bench import (
     ExperimentPlan,
     RunMetrics,
@@ -107,6 +109,9 @@ def test_concurrent_schedule_targets_every_stripe():
 def test_plan_validates_eagerly():
     with pytest.raises(ConfigError):
         ExperimentPlan(axis="bogus", values=(1,), repetitions=1, base=_mini())
+    # Each repetition derives its own seed, so the seed is no axis.
+    with pytest.raises(ConfigError):
+        ExperimentPlan(axis="seed", values=(1,), repetitions=1, base=_mini())
     with pytest.raises(ConfigError):
         ExperimentPlan(axis="num_ses", values=(), repetitions=1, base=_mini())
     with pytest.raises(ConfigError):
@@ -125,6 +130,7 @@ def test_plan_applies_axis_and_derives_sub_seeds():
     assert plan.config_for(10, rep=0) == c00  # stable
     assert plan.config_for(10, rep=1).seed != c00.seed
     assert plan.config_for(20, rep=0).seed != c00.seed
+    assert plan.config_for(20, rep=1).seed == rng.mix(plan.base.seed, rng.SWEEP, 1, 1)
 
     lp_plan = ExperimentPlan(axis="num_lps", values=(1, 2), repetitions=1, base=_mini())
     assert lp_plan.config_for(2, rep=0).num_lps == 2
@@ -149,6 +155,21 @@ def test_in_process_sweep_rows_and_determinism():
     for a, b in zip(rows, again):
         for col in ("generated_mean", "delivered_mean", "forwarded_mean", "duplicates_mean"):
             assert a[col] == b[col]
+
+
+def test_in_process_sweep_over_a_float_option(tmp_path):
+    path = tmp_path / "plan.txt"
+    path.write_text(
+        "axis=gen-prob\nvalues=0.01,0.02\nreps=1\nmode=in-process\n"
+        "ses=10\ndensity=1e-3\ntimesteps=3\n"
+    )
+    plan, in_process = read_plan_file(str(path))
+    assert (plan.axis, plan.values) == ("generation_prob", (0.01, 0.02))
+    rows = run_experiment(plan, in_process=in_process)
+    assert [(r["axis"], r["value"], r["status"]) for r in rows] == [
+        ("generation_prob", 0.01, "ok"),
+        ("generation_prob", 0.02, "ok"),
+    ]
 
 
 def test_sweep_notes_failed_repetitions_and_continues(monkeypatch, capsys):
@@ -204,20 +225,40 @@ def test_read_plan_file(tmp_path):
     assert plan.base.total_timesteps == 100
 
 
+def test_plan_axis_is_an_option_or_field_name(tmp_path):
+    path = tmp_path / "plan.txt"
+    for axis, values_text, field, values in (
+        ("fine-steps", "50,100", "l1_fine_steps_per_timestep", (50, 100)),
+        ("l1_fine_steps_per_timestep", "50", "l1_fine_steps_per_timestep", (50,)),
+        ("transport", "tcp,loopback", "l1_transport", ("tcp", "loopback")),
+        ("deliver-once", "no,yes", "deliver_once", (False, True)),
+        ("l1-activations", "0,2", "num_l1_activations", (0, 2)),
+        ("num_l1_activations", "1", "num_l1_activations", (1,)),
+    ):
+        path.write_text(f"axis={axis}\nvalues={values_text}\n")
+        plan, _ = read_plan_file(str(path))
+        assert (plan.axis, plan.values) == (field, values)
+
+
 def test_read_plan_file_rejects_bad_input(tmp_path):
     path = tmp_path / "plan.txt"
-    path.write_text("values=1,2\n")
-    with pytest.raises(ConfigError):
-        read_plan_file(str(path))
-    path.write_text("axis=warp\nvalues=1\n")
-    with pytest.raises(ConfigError):
-        read_plan_file(str(path))
-    path.write_text("axis=ses\nvalues=1\nmode=psychic\n")
-    with pytest.raises(ConfigError):
-        read_plan_file(str(path))
-    path.write_text("axis=ses\nvalues=1\nnot-an-option=3\n")
-    with pytest.raises(ConfigError):
-        read_plan_file(str(path))
+    # Every error names the file, and the line when one line is at fault.
+    for text, where, match in (
+        ("values=1,2\n", "", "plan needs at least axis= and values="),
+        ("axis=warp\nvalues=1\n", ":1", "cannot sweep 'warp'"),
+        ("axis=ses\nvalues=1\nmode=psychic\n", ":3", "mode must be"),
+        ("axis=ses\nvalues=1\nnot-an-option=3\n", ":3", "unknown option"),
+        ("axis=ses\nvalues=1\nreps=two\n", ":3", "invalid literal"),
+        ("axis=ses\nvalues=8,1.5\n", ":2", "invalid literal"),
+        ("axis=ses\nvalues=8\nses=abc\n", ":3", "invalid literal"),
+        ("axis=ses\nvalues=8\n\n# a comment\ndeliver-once=maybe\n", ":5", "bad boolean"),
+        ("axis=ses\nvalues=8\nl1-schedule=1:0\n", ":3", "bad trigger"),
+        ("axis=seed\nvalues=1,2\n", ":1", "cannot sweep 'seed'"),
+        ("axis=l1-schedule\nvalues=1:0:1\n", ":1", "cannot sweep 'l1-schedule'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}{where}: ") + match):
+            read_plan_file(str(path))
 
 
 # -- CLI ------------------------------------------------------------------------------
@@ -265,6 +306,20 @@ def test_cli_rejects_bad_values(capsys):
     assert main(["simulate", "--l1-schedule", "5:0:1", "--timesteps", "3"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "plan"])
+def test_bad_value_exits_2_naming_its_source(tmp_path, capsys, how):
+    cfg, plan = tmp_path / "run.cfg", tmp_path / "run.plan"
+    cfg.write_text("timesteps=3\ndeliver-once=maybe\n")
+    plan.write_text("axis=ses\nvalues=8\nmode=in-process\ndeliver-once=maybe\n")
+    argv, source = {
+        "flag": (["simulate", "--timesteps", "3", "--deliver-once", "maybe"], "--deliver-once"),
+        "config": (["simulate", "--config", str(cfg)], f"{cfg}:2"),
+        "plan": (["sweep", str(plan), "--out", str(tmp_path / "rows.csv")], f"{plan}:4"),
+    }[how]
+    assert main(argv) == 2
+    assert f"config error: {source}: bad boolean 'maybe'" in capsys.readouterr().err
 
 
 def test_cli_simulate_with_config_file_and_override(tmp_path, capsys):

@@ -142,5 +142,5 @@ def test_bool_option_forms(tmp_path):
         path.write_text(f"deliver-once={text}\n")
         assert read_config_file(path) == {"deliver_once": want}
     path.write_text("deliver-once=maybe\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="run.cfg:1: bad boolean 'maybe'"):
         read_config_file(path)

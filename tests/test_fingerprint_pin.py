@@ -1,0 +1,44 @@
+"""Pinned result digests: a refactor that changes what a run computes fails here.
+
+Both digests were recorded before the option-grammar and reintegration
+refactors; a change that alters them on purpose must say so and re-pin.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from iotsim.config import SimConfig, SpawnTrigger
+from iotsim.level0 import run_simulation
+
+PINS = [
+    # 1 LP, gossip only: the L0 receive path.
+    (
+        SimConfig(num_ses=300, total_timesteps=12, generation_prob=0.05, seed=21),
+        "458e1a8597a2cc3691500f3ab3dea731573dce7ac1ddca4aab042df5710a0c73",
+    ),
+    # 2 LPs over loopback; the trigger at t=5 is on the last step, so its
+    # entities return through the end-of-run reintegration, the one at t=2
+    # through the next step's migration phase.
+    (
+        SimConfig(
+            num_ses=120,
+            num_lps=2,
+            total_timesteps=6,
+            generation_prob=0.05,
+            l1_schedule=(SpawnTrigger(2, 0, 2), SpawnTrigger(5, 1, 2)),
+            l1_fine_steps_per_timestep=50,
+            l1_transport="loopback",
+            seed=22,
+        ),
+        "cf5943ce6dc12da7f729534eac5de8ffd28b450f7925cbbf886300d31334b528",
+    ),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINS, ids=["gossip-1lp", "loopback-2lp"])
+def test_fingerprint_matches_pin(config, digest):
+    result = run_simulation(config)
+    text = json.dumps(result.fingerprint(), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

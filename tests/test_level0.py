@@ -240,28 +240,55 @@ def test_session_failure_aborts_run_with_instance_name(monkeypatch):
         run_simulation(cfg)
 
 
-def test_unknown_entity_in_final_is_rejected(monkeypatch):
+def _fake_session_run(monkeypatch, finalize_records, at_timestep=0):
+    """Run 2 steps with one loopback session whose FINAL is ``finalize_records(init)``."""
     from iotsim.protocol import Counters, InstanceHandlers
 
-    def alien_handlers(init):
-        fake = (EntityRecord(424242, 1.0, 1.0, "static"),)
+    def fake_handlers(init):
+        final = finalize_records(init)
         return InstanceHandlers(
-            run_step=lambda t: (fake, Counters()),
-            finalize=lambda: (fake, Counters()),
+            run_step=lambda t: (init.entities, Counters()),
+            finalize=lambda: (final, Counters()),
         )
 
-    monkeypatch.setattr(level1, "make_handlers", alien_handlers)
+    monkeypatch.setattr(level1, "make_handlers", fake_handlers)
     cfg = SimConfig(
         num_ses=6,
         density=6e-4,
         total_timesteps=2,
         generation_prob=0.0,
-        l1_schedule=(SpawnTrigger(0, 0, 2),),
+        l1_schedule=(SpawnTrigger(at_timestep, 0, 2),),
         l1_transport="loopback",
         seed=3,
     )
+    return run_simulation(cfg)
+
+
+def test_unknown_entity_in_final_is_rejected(monkeypatch):
+    def alien(init):
+        return (EntityRecord(424242, 1.0, 1.0, "static"),)
+
     with pytest.raises(SimulationError):
-        run_simulation(cfg)
+        _fake_session_run(monkeypatch, alien)
+
+
+@pytest.mark.parametrize("at_timestep", [0, 1], ids=["mid-run", "last-step"])
+def test_reintegration_outside_region_aborts_run(monkeypatch, at_timestep):
+    # A session on the last step returns after the step loop; its entities
+    # get the same region check as those that return mid-run.
+    def far_away(init):
+        return tuple(EntityRecord(r.id, 1e6, r.y, r.kind) for r in init.entities)
+
+    with pytest.raises(SimulationError, match="region-violation"):
+        _fake_session_run(monkeypatch, far_away, at_timestep)
+
+
+def test_final_repeating_an_id_aborts_run_with_instance_name(monkeypatch):
+    def repeated(init):
+        return init.entities + init.entities[:1]
+
+    with pytest.raises(SimulationError, match="t0-lp0-0.*entity-mismatch"):
+        _fake_session_run(monkeypatch, repeated)
 
 
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---

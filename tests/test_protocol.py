@@ -263,6 +263,26 @@ def test_client_rejects_final_with_changed_ids():
     assert errors == []
 
 
+def test_client_rejects_final_that_repeats_an_id():
+    def repeated_final(init: Init) -> InstanceHandlers:
+        good = init.entities
+        return InstanceHandlers(
+            run_step=lambda t: (good, Counters()),
+            finalize=lambda: (good + good[:1], Counters()),
+        )
+
+    client_t, server_t = loopback_pair()
+    thread, errors = _serve_in_thread(server_t, repeated_final)
+    client = SessionClient(client_t, timeout=5)
+    client.handshake(_sample_init())
+    client.step(0)
+    with pytest.raises(ProtocolError) as excinfo:
+        client.finish()
+    assert excinfo.value.code == "entity-mismatch"
+    thread.join(timeout=5)
+    assert errors == []
+
+
 def test_error_reply_propagates_to_caller():
     client_t, server_t = loopback_pair()
     server_t.send_line(encode(Error("instance-failed", "boom")))
