@@ -166,6 +166,10 @@ class ExperimentPlan:
             raise ConfigError("repetitions must be >= 1")
         if not self.values:
             raise ConfigError("values must not be empty")
+        repeated = [v for i, v in enumerate(self.values) if v in self.values[:i]]
+        if repeated:
+            # Sub-seeds are keyed by a value's position, so a repeat would copy a row.
+            raise ConfigError(f"value {repeated[0]!r} is listed more than once")
         for value in self.values:
             self.config_for(value, rep=0)  # validates eagerly
 

@@ -132,11 +132,13 @@ def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
             f"{where}: cannot sweep {axis!r}; an axis is an option or field name "
             "other than seed and l1-schedule, or l1-activations"
         )
-    text, where = plan["values"]
-    values = tuple(parse_option(name, v, where, SWEEP_OPTIONS)[1] for v in text.split(",") if v.strip())
+    text, values_at = plan["values"]
+    values = tuple(parse_option(name, v, values_at, SWEEP_OPTIONS)[1] for v in text.split(",") if v.strip())
     reps_text, where = plan.get("reps", ("3", path))
     try:
         reps = int(reps_text)
+        if reps < 1:
+            raise ValueError("reps must be >= 1")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     mode, where = plan.get("mode", ("subprocess", path))
@@ -144,7 +146,11 @@ def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
         raise ConfigError(f"{where}: mode must be subprocess or in-process")
     config_updates.setdefault("total_timesteps", SWEEP_DEFAULT_TIMESTEPS)
     base = SimConfig(**config_updates)
-    return ExperimentPlan(SWEEP_OPTIONS[name][0], values, reps, base), mode == "in-process"
+    try:
+        experiment = ExperimentPlan(SWEEP_OPTIONS[name][0], values, reps, base)
+    except ConfigError as exc:  # the axis and reps are checked above: a bad value
+        raise ConfigError(f"{values_at}: {exc}") from None
+    return experiment, mode == "in-process"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -9,7 +9,7 @@ transmitter already covered their surroundings.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import SimConfig
@@ -73,15 +73,9 @@ def generate_message(origin_id: int, seq: int, now: int, config: SimConfig) -> D
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ForwardDecisionInput:
-    message: DisseminationMessage
-    sender_distance: float
-    cache_hit: bool
-    random_draw: float
-
-
-def should_forward(inp: ForwardDecisionInput, config: SimConfig) -> bool:
+def should_forward(
+    ttl_remaining: int, cache_hit: bool, sender_distance: float, random_draw: float, config: SimConfig
+) -> bool:
     """Gossip gate, applied by a receiver to a copy it just got.
 
     The copy is relayed iff it can still travel (a relayed copy would carry
@@ -90,26 +84,21 @@ def should_forward(inp: ForwardDecisionInput, config: SimConfig) -> bool:
     farther than the forwarding threshold, and the coin flip passes.
     """
     return (
-        inp.message.ttl_remaining - 1 > 0
-        and not inp.cache_hit
-        and inp.sender_distance > config.forwarding_threshold
-        and inp.random_draw < config.dissemination_prob
+        ttl_remaining - 1 > 0
+        and not cache_hit
+        and sender_distance > config.forwarding_threshold
+        and random_draw < config.dissemination_prob
     )
 
 
 def relayed_copy(message: DisseminationMessage, relay_id: int) -> DisseminationMessage:
-    return replace(
-        message,
-        ttl_remaining=message.ttl_remaining - 1,
-        hop_trace=message.hop_trace + (relay_id,),
+    return DisseminationMessage(
+        message.msg_id,
+        message.origin,
+        message.created_at,
+        message.ttl_remaining - 1,
+        message.hop_trace + (relay_id,),
     )
-
-
-@dataclass(slots=True)
-class RelayOutcome:
-    delivered: bool
-    duplicate: bool
-    forwarded: Optional[DisseminationMessage]
 
 
 def relay_step(
@@ -119,14 +108,14 @@ def relay_step(
     sender_distance: float,
     random_draw: float,
     config: SimConfig,
-) -> RelayOutcome:
+) -> tuple[bool, Optional[DisseminationMessage]]:
     """Full receiver-side handling of one incoming copy.
 
-    The cache is touched exactly once (the forward gate reuses the lookup), so
-    an LRU cache observes each receipt in order.
+    Returns (duplicate, relayed copy or None); a copy that is not a
+    duplicate is delivered.  The cache is touched exactly once (the forward
+    gate reuses the lookup), so an LRU cache observes each receipt in order.
     """
     hit = cache.touch(message.msg_id)
-    inp = ForwardDecisionInput(message, sender_distance, hit, random_draw)
-    if should_forward(inp, config):
-        return RelayOutcome(delivered=True, duplicate=False, forwarded=relayed_copy(message, relay_id))
-    return RelayOutcome(delivered=not hit, duplicate=hit, forwarded=None)
+    if should_forward(message.ttl_remaining, hit, sender_distance, random_draw, config):
+        return False, relayed_copy(message, relay_id)
+    return hit, None

@@ -126,13 +126,14 @@ class DeliveryAudit:
         self.min_ttl_seen: Optional[int] = None
         self.receipts: dict[MsgId, TallyCounter] = {}
 
-    def on_receipt(self, msg: DisseminationMessage, receiver_id: int) -> None:
+    def record(self, msg: DisseminationMessage, receiver_ids: list[int]) -> None:
+        """One transmission of ``msg`` received by each of ``receiver_ids``."""
         if len(msg.hop_trace) > self.max_trace_len:
             self.max_trace_len = len(msg.hop_trace)
         if self.min_ttl_seen is None or msg.ttl_remaining < self.min_ttl_seen:
             self.min_ttl_seen = msg.ttl_remaining
         if self.record_receipts:
-            self.receipts.setdefault(msg.msg_id, TallyCounter())[receiver_id] += 1
+            self.receipts.setdefault(msg.msg_id, TallyCounter()).update(receiver_ids)
 
     def merge(self, other: "DeliveryAudit") -> None:
         self.max_trace_len = max(self.max_trace_len, other.max_trace_len)
@@ -251,7 +252,6 @@ class SimEngine:
 
     def _phase_deliver(self, lp: LogicalProcess, t: int, part: dict) -> None:
         cfg = self.config
-        world = self.world
         audit = self._audits[lp.lp_id]
         cur = self._inbox[t % 2][lp.lp_id]
         txs: list[_Tx] = []
@@ -263,52 +263,35 @@ class SimEngine:
         txs.sort(key=lambda tx: (tx[0].msg_id, tx[1]))
 
         outgoing: list[_Tx] = []
-        n_active = len(lp.entities)
-        if txs and n_active:
-            ids = np.fromiter(lp.entities.keys(), dtype=np.int64, count=n_active)
-            xs = np.fromiter((e.x for e in lp.entities.values()), dtype=np.float64, count=n_active)
-            ys = np.fromiter((e.y for e in lp.entities.values()), dtype=np.float64, count=n_active)
-        else:
-            ids = xs = ys = None
-        n_deleg = len(lp.delegated)
-        if txs and n_deleg:
-            dxs = np.fromiter((e.x for e in lp.delegated.values()), dtype=np.float64, count=n_deleg)
-            dys = np.fromiter((e.y for e in lp.delegated.values()), dtype=np.float64, count=n_deleg)
-        else:
-            dxs = dys = None
-        r2 = cfg.interaction_range * cfg.interaction_range
-        width, height = world.width, world.height
+        # Live receivers first, in ``lp.entities`` order; frozen ones after.
+        live = list(lp.entities.values())
+        receivers = live + list(lp.delegated.values())
+        n_live = len(live)
+        xs = np.fromiter((e.x for e in receivers), dtype=np.float64, count=len(receivers))
+        ys = np.fromiter((e.y for e in receivers), dtype=np.float64, count=len(receivers))
+        radius = cfg.interaction_range
 
         for msg, sender_id, sx, sy in txs:
-            if ids is not None:
-                dx = np.abs(xs - sx)
-                np.minimum(dx, width - dx, out=dx)
-                dy = np.abs(ys - sy)
-                np.minimum(dy, height - dy, out=dy)
-                close = np.nonzero(dx * dx + dy * dy <= r2)[0]
-                for i in close:
-                    rid = int(ids[i])
-                    if rid == sender_id:
-                        continue
-                    entity = lp.entities[rid]
-                    dist = math.hypot(float(dx[i]), float(dy[i]))
-                    draw = rng.unit_uniform(cfg.seed, rng.FORWARD, rid, msg.msg_id[0], msg.msg_id[1])
-                    outcome = relay_step(entity.cache, rid, msg, dist, draw, cfg)
-                    audit.on_receipt(msg, rid)
-                    if outcome.duplicate:
-                        part["duplicates"] += 1
-                    elif outcome.delivered:
-                        part["delivered"] += 1
-                    if outcome.forwarded is not None:
-                        part["forwarded"] += 1
-                        outgoing.append((outcome.forwarded, rid, entity.x, entity.y))
-            if dxs is not None:
-                # Frozen receivers get nothing; the drop is still accounted.
-                ddx = np.abs(dxs - sx)
-                np.minimum(ddx, width - ddx, out=ddx)
-                ddy = np.abs(dys - sy)
-                np.minimum(ddy, height - ddy, out=ddy)
-                part["dropped_delegated"] += int(np.count_nonzero(ddx * ddx + ddy * ddy <= r2))
+            hits, dxs, dys = self.world.disc(xs, ys, sx, sy, radius)
+            live_hits = int(np.searchsorted(hits, n_live))
+            # Frozen receivers get nothing; the drop is still accounted.
+            part["dropped_delegated"] += len(hits) - live_hits
+            received: list[int] = []
+            for i, dx, dy in zip(hits[:live_hits].tolist(), dxs.tolist(), dys.tolist()):
+                entity = live[i]
+                rid = entity.id
+                if rid == sender_id:
+                    continue
+                dist = math.hypot(dx, dy)
+                draw = rng.unit_uniform(cfg.seed, rng.FORWARD, rid, msg.msg_id[0], msg.msg_id[1])
+                duplicate, copy = relay_step(entity.cache, rid, msg, dist, draw, cfg)
+                received.append(rid)
+                part["duplicates" if duplicate else "delivered"] += 1
+                if copy is not None:
+                    part["forwarded"] += 1
+                    outgoing.append((copy, rid, entity.x, entity.y))
+            if received:
+                audit.record(msg, received)
 
         # Fresh traffic, in id order so staging order is reproducible.
         gen_prob = cfg.generation_prob
@@ -624,7 +607,12 @@ def _drive_subprocess(init: Init, t: int, transcript):
     finally:
         if transport is not None:
             transport.close()
-    out, err = proc.communicate(timeout=30)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise SimulationError("instance did not exit within 30 s of its FINAL") from None
     if proc.returncode != 0:
         raise SimulationError(f"instance exited with {proc.returncode}: {err.strip()}")
     child_rss = None

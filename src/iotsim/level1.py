@@ -71,9 +71,6 @@ class EventQueue:
             raise EventQueueOverflow(f"event queue exceeded {self.limit} entries")
         heapq.heappush(self._heap, (tick, next(self._counter), event))
 
-    def peek_tick(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
     def pop(self) -> Optional[tuple[int, tuple]]:
         if not self._heap:
             return None

@@ -33,10 +33,6 @@ class Entity:
     status: str = STATUS_ACTIVE
     next_seq: int = field(default=0)
 
-    @property
-    def is_mobile(self) -> bool:
-        return self.kind == KIND_MOBILE
-
 
 def make_cache(config: SimConfig) -> MessageCache:
     # Deliver-once accounting needs full duplicate knowledge regardless of

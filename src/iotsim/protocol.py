@@ -423,6 +423,8 @@ class SessionClient:
             raise self._fail("protocol-violation", f"expected STEP_RESULT, got {type(msg).__name__}")
         if msg.timestep != timestep:
             raise self._fail("protocol-violation", f"STEP_RESULT for {msg.timestep}, wanted {timestep}")
+        if sorted(r.id for r in msg.entities) != self._init_ids:
+            raise self._fail("entity-mismatch", "STEP_RESULT entity ids differ from INIT")
         return msg
 
     def finish(self) -> Final:

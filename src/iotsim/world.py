@@ -1,10 +1,10 @@
-"""Toroidal 2D world geometry and neighbor queries."""
+"""Toroidal 2D world geometry and the disc query."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,83 +29,18 @@ class ToroidalWorld:
             wy = 0.0
         return wx, wy
 
-    def axis_delta(self, a: float, b: float, extent: float) -> float:
-        d = abs(a - b)
-        return min(d, extent - d)
+    def disc(
+        self, xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, radius: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Points of wrapped (xs, ys) within ``radius`` of (cx, cy) on the torus.
 
-    def distance(self, ax: float, ay: float, bx: float, by: float) -> float:
-        """Shortest (torus) distance between two wrapped points."""
-        dx = self.axis_delta(ax, bx, self.width)
-        dy = self.axis_delta(ay, by, self.height)
-        return math.hypot(dx, dy)
-
-
-def toroidal_distance(world: ToroidalWorld, a: tuple[float, float], b: tuple[float, float]) -> float:
-    return world.distance(a[0], a[1], b[0], b[1])
-
-
-class CellGrid:
-    """Uniform spatial hash over the torus for disc queries.
-
-    Cells are at least ``cell_size`` wide so a disc of that radius only ever
-    touches the 3x3 block around its center cell (modulo wrap).
-    """
-
-    def __init__(self, world: ToroidalWorld, cell_size: float) -> None:
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.world = world
-        self.nx = max(1, int(world.width // cell_size))
-        self.ny = max(1, int(world.height // cell_size))
-        self.cw = world.width / self.nx
-        self.ch = world.height / self.ny
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        self._pos: dict[int, tuple[float, float]] = {}
-
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return int(x // self.cw) % self.nx, int(y // self.ch) % self.ny
-
-    def insert(self, item_id: int, x: float, y: float) -> None:
-        x, y = self.world.wrap(x, y)
-        self._pos[item_id] = (x, y)
-        self._cells.setdefault(self._cell_of(x, y), []).append(item_id)
-
-    def build(self, items: Iterable[tuple[int, float, float]]) -> None:
-        for item_id, x, y in items:
-            self.insert(item_id, x, y)
-
-    def query_disc(self, x: float, y: float, radius: float) -> list[int]:
-        """Ids whose stored position is within ``radius`` (inclusive) of (x, y)."""
-        x, y = self.world.wrap(x, y)
-        span_x = min(self.nx, int(radius // self.cw) + 2)
-        span_y = min(self.ny, int(radius // self.ch) + 2)
-        cx, cy = self._cell_of(x, y)
-        out: list[int] = []
-        seen_cells: set[tuple[int, int]] = set()
-        for di in range(-span_x, span_x + 1):
-            for dj in range(-span_y, span_y + 1):
-                cell = ((cx + di) % self.nx, (cy + dj) % self.ny)
-                if cell in seen_cells:
-                    continue
-                seen_cells.add(cell)
-                for item_id in self._cells.get(cell, ()):
-                    px, py = self._pos[item_id]
-                    if self.world.distance(x, y, px, py) <= radius:
-                        out.append(item_id)
-        return out
-
-
-def neighbors_within(
-    world: ToroidalWorld,
-    positions: Mapping[int, tuple[float, float]],
-    center_id: int,
-    radius: float,
-) -> set[int]:
-    """Ids of entities within ``radius`` of ``center_id``, excluding itself.
-
-    The boundary is inclusive: distance == radius counts as in range.
-    """
-    cx, cy = positions[center_id]
-    grid = CellGrid(world, max(radius, 1e-9))
-    grid.build((i, p[0], p[1]) for i, p in positions.items())
-    return {i for i in grid.query_disc(cx, cy, radius) if i != center_id}
+        Returns their indices in ascending order and, for each, the shortest
+        per-axis offsets |dx| and |dy|.  The boundary is inclusive: a point
+        at exactly ``radius`` is in range.
+        """
+        dx = np.abs(xs - cx)
+        np.minimum(dx, self.width - dx, out=dx)
+        dy = np.abs(ys - cy)
+        np.minimum(dy, self.height - dy, out=dy)
+        hits = np.nonzero(dx * dx + dy * dy <= radius * radius)[0]
+        return hits, dx[hits], dy[hits]

@@ -25,7 +25,7 @@ from iotsim.bench import (
     sequential_schedule,
 )
 from iotsim.config import SimConfig, SpawnTrigger
-from iotsim.dissemination import ForwardDecisionInput, generate_message, should_forward
+from iotsim.dissemination import generate_message, should_forward
 from iotsim.level0 import SimEngine, run_simulation
 from iotsim.level1 import GridScenario, L1Instance, discover_route
 from iotsim.protocol import (
@@ -147,8 +147,9 @@ def test_c02_forwarding_rate_tracks_probability():
     forwards = 0
     for i in range(n):
         draw = rng.unit_uniform(cfg.seed, rng.FORWARD, i, 1, 0)
-        inp = ForwardDecisionInput(msg, sender_distance=300.0, cache_hit=False, random_draw=draw)
-        if should_forward(inp, cfg):
+        if should_forward(
+            msg.ttl_remaining, cache_hit=False, sender_distance=300.0, random_draw=draw, config=cfg
+        ):
             forwards += 1
     rate = forwards / n
     _verdict(

@@ -255,6 +255,11 @@ def test_read_plan_file_rejects_bad_input(tmp_path):
         ("axis=ses\nvalues=8\nl1-schedule=1:0\n", ":3", "bad trigger"),
         ("axis=seed\nvalues=1,2\n", ":1", "cannot sweep 'seed'"),
         ("axis=l1-schedule\nvalues=1:0:1\n", ":1", "cannot sweep 'l1-schedule'"),
+        ("axis=ses\nvalues=1\nreps=0\n", ":3", "reps must be >= 1"),
+        # A repeated value would get the same sub-seeds: a copied row.
+        ("axis=ses\nvalues=10,10\n", ":2", "value 10 is listed more than once"),
+        # Checks that need the whole config still name the values= line.
+        ("axis=lps\nvalues=1,0\n", ":2", "num_lps must be >= 1"),
     ):
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"{path}{where}: ") + match):

@@ -5,7 +5,6 @@ import pytest
 from iotsim.config import SimConfig
 from iotsim.dissemination import (
     DisseminationMessage,
-    ForwardDecisionInput,
     MessageCache,
     generate_message,
     relay_step,
@@ -80,36 +79,26 @@ def test_generate_message_fields():
 
 def test_forward_gate_each_condition():
     cfg = SimConfig(dissemination_prob=0.6, forwarding_threshold=200.0, ttl=4)
-    base = dict(sender_distance=300.0, cache_hit=False, random_draw=0.1)
 
-    assert should_forward(ForwardDecisionInput(message=_msg(ttl=4), **base), cfg)
+    # Arguments: ttl_remaining, cache_hit, sender_distance, random_draw.
+    assert should_forward(4, False, 300.0, 0.1, cfg)
     # A relayed copy would carry ttl 0 and could not travel: no forward.
-    assert not should_forward(ForwardDecisionInput(message=_msg(ttl=1), **base), cfg)
-    assert not should_forward(ForwardDecisionInput(message=_msg(ttl=0), **base), cfg)
+    assert not should_forward(1, False, 300.0, 0.1, cfg)
+    assert not should_forward(0, False, 300.0, 0.1, cfg)
     # Duplicate suppression.
-    assert not should_forward(
-        ForwardDecisionInput(message=_msg(), sender_distance=300.0, cache_hit=True, random_draw=0.1), cfg
-    )
+    assert not should_forward(4, True, 300.0, 0.1, cfg)
     # Sender at exactly the threshold is "near": no forward.
-    assert not should_forward(
-        ForwardDecisionInput(message=_msg(), sender_distance=200.0, cache_hit=False, random_draw=0.1), cfg
-    )
+    assert not should_forward(4, False, 200.0, 0.1, cfg)
     # Coin flip must be strictly below the probability.
-    assert not should_forward(
-        ForwardDecisionInput(message=_msg(), sender_distance=300.0, cache_hit=False, random_draw=0.6), cfg
-    )
-    assert should_forward(
-        ForwardDecisionInput(message=_msg(), sender_distance=300.0, cache_hit=False, random_draw=0.5999), cfg
-    )
+    assert not should_forward(4, False, 300.0, 0.6, cfg)
+    assert should_forward(4, False, 300.0, 0.5999, cfg)
 
 
 def test_certain_gossip_always_forwards_while_travel_remains():
     cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     for ttl in (2, 3, 4, 10):
-        inp = ForwardDecisionInput(_msg(ttl=ttl), sender_distance=0.001, cache_hit=False, random_draw=0.999)
-        assert should_forward(inp, cfg)
-    inp = ForwardDecisionInput(_msg(ttl=1), sender_distance=0.001, cache_hit=False, random_draw=0.0)
-    assert not should_forward(inp, cfg)
+        assert should_forward(ttl, cache_hit=False, sender_distance=0.001, random_draw=0.999, config=cfg)
+    assert not should_forward(1, cache_hit=False, sender_distance=0.001, random_draw=0.0, config=cfg)
 
 
 def test_relayed_copy_decrements_and_extends_trace():
@@ -127,28 +116,29 @@ def test_relayed_copy_decrements_and_extends_trace():
 def test_relay_step_fresh_copy_is_delivered_and_forwarded():
     cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     cache = MessageCache(256)
-    out = relay_step(cache, relay_id=3, message=_msg(ttl=4), sender_distance=10.0, random_draw=0.2, config=cfg)
-    assert out.delivered and not out.duplicate
-    assert out.forwarded is not None
-    assert out.forwarded.ttl_remaining == 3
-    assert out.forwarded.hop_trace == (1, 3)
+    duplicate, copy = relay_step(
+        cache, relay_id=3, message=_msg(ttl=4), sender_distance=10.0, random_draw=0.2, config=cfg
+    )
+    assert not duplicate
+    assert copy is not None
+    assert copy.ttl_remaining == 3
+    assert copy.hop_trace == (1, 3)
 
 
 def test_relay_step_duplicate_neither_delivers_nor_forwards():
     cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     cache = MessageCache(256)
     relay_step(cache, 3, _msg(), 10.0, 0.2, cfg)
-    out = relay_step(cache, 3, _msg(), 10.0, 0.2, cfg)
-    assert not out.delivered and out.duplicate
-    assert out.forwarded is None
+    duplicate, copy = relay_step(cache, 3, _msg(), 10.0, 0.2, cfg)
+    assert duplicate
+    assert copy is None
 
 
 def test_relay_step_delivery_without_forward():
     cfg = SimConfig(dissemination_prob=0.6, forwarding_threshold=200.0)
     cache = MessageCache(256)
     # Near sender: delivered but suppressed.
-    out = relay_step(cache, 3, _msg(), sender_distance=50.0, random_draw=0.1, config=cfg)
-    assert out.delivered and not out.duplicate and out.forwarded is None
+    assert relay_step(cache, 3, _msg(), sender_distance=50.0, random_draw=0.1, config=cfg) == (False, None)
     # The receipt still populated the cache.
-    out = relay_step(cache, 3, _msg(), sender_distance=300.0, random_draw=0.1, config=cfg)
-    assert out.duplicate
+    duplicate, _ = relay_step(cache, 3, _msg(), sender_distance=300.0, random_draw=0.1, config=cfg)
+    assert duplicate

@@ -1,7 +1,11 @@
 """Coarse engine: partitioning, delivery, delegation, and failure paths."""
 
+import io
+import subprocess
+
 import pytest
 
+import iotsim.level0 as level0
 import iotsim.level1 as level1
 from iotsim.config import SimConfig, SpawnTrigger
 from iotsim.dissemination import DisseminationMessage, MessageCache
@@ -291,6 +295,51 @@ def test_final_repeating_an_id_aborts_run_with_instance_name(monkeypatch):
         _fake_session_run(monkeypatch, repeated)
 
 
+def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
+    children = []
+
+    class StuckChild:
+        """Reports its port, then outlives every wait until it is killed."""
+
+        def __init__(self, cmd, **kwargs):
+            self.stdout = io.StringIO("PORT=1\n")
+            self.stderr = io.StringIO()
+            self.returncode = None
+            self.killed = self.reaped = False
+            children.append(self)
+
+        def kill(self):
+            self.killed = True
+
+        def communicate(self, timeout=None):
+            if not self.killed:
+                raise subprocess.TimeoutExpired("l1-server", timeout)
+            self.reaped = True
+            self.returncode = -9
+            return "", ""
+
+    class NullTransport:
+        def close(self):
+            pass
+
+    monkeypatch.setattr(subprocess, "Popen", StuckChild)
+    monkeypatch.setattr(level0, "connect_tcp", lambda port, transcript=None: NullTransport())
+    monkeypatch.setattr(level0, "_drive_session", lambda client, init, t: None)
+    cfg = SimConfig(
+        num_ses=6,
+        density=6e-4,
+        total_timesteps=2,
+        generation_prob=0.0,
+        l1_schedule=(SpawnTrigger(0, 0, 2),),
+        l1_transport="tcp",
+        seed=3,
+    )
+    with pytest.raises(SimulationError, match="t0-lp0-0.*did not exit"):
+        run_simulation(cfg)
+    (child,) = children
+    assert child.killed and child.reaped
+
+
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---
 
 
@@ -316,19 +365,40 @@ def _dummy_msg(origin, seq, ttl, trace):
 
 def test_audit_tracks_extremes_and_duplicates():
     audit = DeliveryAudit(record_receipts=True)
-    audit.on_receipt(_dummy_msg(1, 0, 3, (1,)), receiver_id=5)
-    audit.on_receipt(_dummy_msg(1, 0, 2, (1, 5)), receiver_id=6)
-    audit.on_receipt(_dummy_msg(1, 0, 2, (1, 5)), receiver_id=6)
-    audit.on_receipt(_dummy_msg(2, 0, 1, (2, 3, 4)), receiver_id=5)
+    audit.record(_dummy_msg(1, 0, 3, (1,)), [5])
+    audit.record(_dummy_msg(1, 0, 2, (1, 5)), [6, 7])
+    audit.record(_dummy_msg(1, 0, 2, (1, 7)), [6])
+    audit.record(_dummy_msg(2, 0, 1, (2, 3, 4)), [5])
     assert audit.max_trace_len == 3
     assert audit.min_ttl_seen == 1
-    assert audit.receiver_sets() == {(1, 0): frozenset({5, 6}), (2, 0): frozenset({5})}
+    assert audit.receiver_sets() == {(1, 0): frozenset({5, 6, 7}), (2, 0): frozenset({5})}
     assert audit.duplicate_deliveries() == 1
 
     other = DeliveryAudit(record_receipts=True)
-    other.on_receipt(_dummy_msg(1, 0, 0, (1, 5, 6, 7)), receiver_id=9)
+    other.record(_dummy_msg(1, 0, 0, (1, 5, 6, 7)), [9])
     audit.merge(other)
     assert audit.max_trace_len == 4
     assert audit.min_ttl_seen == 0
     assert audit.duplicate_deliveries() == 1
-    assert audit.receiver_sets()[(1, 0)] == frozenset({5, 6, 9})
+    assert audit.receiver_sets()[(1, 0)] == frozenset({5, 6, 7, 9})
+
+
+def test_tallied_receipts_equal_delivered_plus_duplicates():
+    # Two stripes with a session on each: some receivers are frozen while
+    # transmissions reach them.
+    cfg = SimConfig(
+        num_ses=120,
+        num_lps=2,
+        total_timesteps=6,
+        generation_prob=0.05,
+        l1_schedule=(SpawnTrigger(2, 0, 2), SpawnTrigger(5, 1, 2)),
+        l1_fine_steps_per_timestep=50,
+        l1_transport="loopback",
+        seed=22,
+    )
+    result = run_simulation(cfg, record_receipts=True)
+    totals = result.totals()
+    tallied = sum(sum(t.values()) for t in result.audit.receipts.values())
+    assert tallied > 0
+    assert tallied == totals["delivered"] + totals["duplicates"]
+    assert totals["dropped_delegated"] > 0

@@ -283,6 +283,27 @@ def test_client_rejects_final_that_repeats_an_id():
     assert errors == []
 
 
+def test_client_rejects_step_result_with_changed_ids():
+    def bad_step(init: Init) -> InstanceHandlers:
+        good = init.entities
+        return InstanceHandlers(
+            run_step=lambda t: (good + good[:1], Counters()),
+            finalize=lambda: (good, Counters()),
+        )
+
+    client_t, server_t = loopback_pair()
+    thread, errors = _serve_in_thread(server_t, bad_step)
+    client = SessionClient(client_t, timeout=5)
+    client.handshake(_sample_init())
+    with pytest.raises(ProtocolError) as excinfo:
+        client.step(0)
+    assert excinfo.value.code == "entity-mismatch"
+    # The instance reads the client's ERROR in place of its next command.
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [e.code for e in errors] == ["entity-mismatch"]
+
+
 def test_error_reply_propagates_to_caller():
     client_t, server_t = loopback_pair()
     server_t.send_line(encode(Error("instance-failed", "boom")))

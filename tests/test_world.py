@@ -1,11 +1,29 @@
-"""Torus geometry and neighbor queries against a brute-force oracle."""
+"""Torus geometry and the disc query against a brute-force oracle."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
-from iotsim.world import CellGrid, ToroidalWorld, neighbors_within, toroidal_distance
+from iotsim.world import ToroidalWorld
+
+
+def _distance(world, a, b):
+    """Torus distance from a to b, from the offsets the disc query reports."""
+    hits, dx, dy = world.disc(np.array([b[0]]), np.array([b[1]]), a[0], a[1], math.inf)
+    assert hits.tolist() == [0]
+    return math.hypot(dx[0], dy[0])
+
+
+def _in_disc(world, positions, center_id, radius):
+    """Ids within ``radius`` of ``center_id`` by the disc query, excluding itself."""
+    ids = list(positions)
+    xs = np.array([positions[i][0] for i in ids])
+    ys = np.array([positions[i][1] for i in ids])
+    cx, cy = positions[center_id]
+    hits, _, _ = world.disc(xs, ys, cx, cy, radius)
+    return {ids[k] for k in hits.tolist()} - {center_id}
 
 
 def test_wrap_examples():
@@ -31,9 +49,9 @@ def test_wrap_stays_in_half_open_box():
 
 def test_distance_examples():
     world = ToroidalWorld(100.0, 100.0)
-    assert toroidal_distance(world, (1.0, 1.0), (99.0, 99.0)) == pytest.approx(math.sqrt(8.0))
-    assert toroidal_distance(world, (10.0, 10.0), (40.0, 50.0)) == 50.0
-    assert toroidal_distance(world, (5.0, 5.0), (5.0, 5.0)) == 0.0
+    assert _distance(world, (1.0, 1.0), (99.0, 99.0)) == pytest.approx(math.sqrt(8.0))
+    assert _distance(world, (10.0, 10.0), (40.0, 50.0)) == 50.0
+    assert _distance(world, (5.0, 5.0), (5.0, 5.0)) == 0.0
 
 
 def test_distance_symmetry_and_wrap_invariance():
@@ -42,10 +60,10 @@ def test_distance_symmetry_and_wrap_invariance():
     for _ in range(500):
         a = (rng.uniform(0, 73), rng.uniform(0, 41))
         b = (rng.uniform(0, 73), rng.uniform(0, 41))
-        d1 = toroidal_distance(world, a, b)
-        assert d1 == toroidal_distance(world, b, a)
+        d1 = _distance(world, a, b)
+        assert d1 == _distance(world, b, a)
         shifted = world.wrap(a[0] + 73.0, a[1] - 41.0)
-        assert toroidal_distance(world, shifted, b) == pytest.approx(d1)
+        assert _distance(world, shifted, b) == pytest.approx(d1)
         assert d1 <= math.hypot(73.0 / 2, 41.0 / 2) + 1e-9
 
 
@@ -69,7 +87,7 @@ def _brute_neighbors(world, positions, center_id, radius):
     return out
 
 
-def test_neighbors_within_matches_brute_force():
+def test_disc_matches_brute_force():
     # 1000 random configurations, boundary inclusive, center excluded.
     rng = random.Random(2024)
     for trial in range(1000):
@@ -80,27 +98,24 @@ def test_neighbors_within_matches_brute_force():
         positions = {i: (rng.uniform(0, w), rng.uniform(0, h)) for i in range(n)}
         radius = rng.uniform(0.5, max(w, h))
         center = rng.randrange(n)
-        got = neighbors_within(world, positions, center, radius)
+        got = _in_disc(world, positions, center, radius)
         want = _brute_neighbors(world, positions, center, radius)
         assert got == want, f"trial {trial}: {got ^ want}"
 
 
-def test_neighbors_within_inclusive_boundary():
+def test_disc_inclusive_boundary():
     world = ToroidalWorld(100.0, 100.0)
     positions = {0: (10.0, 10.0), 1: (13.0, 14.0), 2: (10.0, 15.1)}
     # id 1 sits at exactly distance 5.
-    assert neighbors_within(world, positions, 0, 5.0) == {1}
+    assert _in_disc(world, positions, 0, 5.0) == {1}
 
 
-def test_cell_grid_query_disc_wraps():
+def test_disc_wraps_and_reports_shortest_offsets():
     world = ToroidalWorld(100.0, 100.0)
-    grid = CellGrid(world, 10.0)
-    grid.build([(0, 1.0, 1.0), (1, 99.0, 99.0), (2, 50.0, 50.0)])
-    near_origin = set(grid.query_disc(0.0, 0.0, 5.0))
-    assert near_origin == {0, 1}
-    assert set(grid.query_disc(50.0, 50.0, 1.0)) == {2}
-
-
-def test_cell_grid_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        CellGrid(ToroidalWorld(10.0, 10.0), 0.0)
+    xs = np.array([1.0, 99.0, 50.0])
+    ys = np.array([1.0, 99.0, 50.0])
+    hits, dx, dy = world.disc(xs, ys, 0.0, 0.0, 5.0)
+    assert hits.tolist() == [0, 1]
+    assert dx.tolist() == dy.tolist() == [1.0, 1.0]
+    hits, _, _ = world.disc(xs, ys, 50.0, 50.0, 1.0)
+    assert hits.tolist() == [2]
