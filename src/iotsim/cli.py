@@ -37,6 +37,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> SimConfig:
     updates = read_config_file(args.config) if args.config else {}
+    flags = []
     for name in OPTIONS:
         raw = getattr(args, f"flag_{name.replace('-', '_')}")
         if raw is not None:
@@ -44,7 +45,14 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
                 raw = ",".join(raw)
             field_name, value = parse_option(name, raw, f"--{name}")
             updates[field_name] = value
-    return SimConfig(**updates)
+            flags.append(f"--{name}")
+    try:
+        return SimConfig(**updates)
+    except ConfigError as exc:  # a check across fields: name the file and any flags over it
+        if args.config:
+            over = f" with {' '.join(flags)}" if flags else ""
+            raise ConfigError(f"{args.config}{over}: {exc}") from None
+        raise
 
 
 # -- simulate -----------------------------------------------------------------
@@ -145,7 +153,10 @@ def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
     if mode not in ("subprocess", "in-process"):
         raise ConfigError(f"{where}: mode must be subprocess or in-process")
     config_updates.setdefault("total_timesteps", SWEEP_DEFAULT_TIMESTEPS)
-    base = SimConfig(**config_updates)
+    try:
+        base = SimConfig(**config_updates)
+    except ConfigError as exc:  # a check across the base settings' fields
+        raise ConfigError(f"{path}: {exc}") from None
     try:
         experiment = ExperimentPlan(SWEEP_OPTIONS[name][0], values, reps, base)
     except ConfigError as exc:  # the axis and reps are checked above: a bad value

@@ -184,6 +184,8 @@ class RunResult:
 
 # One transmission in flight: the message plus where it was emitted from.
 _Tx = tuple[DisseminationMessage, int, float, float]
+# One received transmission: message, sender, live-receiver hits and offsets.
+_Rx = tuple[DisseminationMessage, int, np.ndarray, np.ndarray, np.ndarray]
 
 
 class SimEngine:
@@ -252,7 +254,6 @@ class SimEngine:
 
     def _phase_deliver(self, lp: LogicalProcess, t: int, part: dict) -> None:
         cfg = self.config
-        audit = self._audits[lp.lp_id]
         cur = self._inbox[t % 2][lp.lp_id]
         txs: list[_Tx] = []
         for cell in cur:
@@ -267,37 +268,39 @@ class SimEngine:
         live = list(lp.entities.values())
         receivers = live + list(lp.delegated.values())
         n_live = len(live)
+        live_ids = np.fromiter(lp.entities, dtype=np.int64, count=n_live)
         xs = np.fromiter((e.x for e in receivers), dtype=np.float64, count=len(receivers))
         ys = np.fromiter((e.y for e in receivers), dtype=np.float64, count=len(receivers))
         radius = cfg.interaction_range
 
+        # Transmissions with live hits wait in a batch until it holds as many
+        # receipts as the LP has live entities; then one kernel call draws all
+        # their forward coins.  Coins do not depend on cache state, so drawing
+        # ahead changes nothing.
+        batch: list[_Rx] = []
+        batch_hits = 0
         for msg, sender_id, sx, sy in txs:
             hits, dxs, dys = self.world.disc(xs, ys, sx, sy, radius)
             live_hits = int(np.searchsorted(hits, n_live))
             # Frozen receivers get nothing; the drop is still accounted.
             part["dropped_delegated"] += len(hits) - live_hits
-            received: list[int] = []
-            for i, dx, dy in zip(hits[:live_hits].tolist(), dxs.tolist(), dys.tolist()):
-                entity = live[i]
-                rid = entity.id
-                if rid == sender_id:
-                    continue
-                dist = math.hypot(dx, dy)
-                draw = rng.unit_uniform(cfg.seed, rng.FORWARD, rid, msg.msg_id[0], msg.msg_id[1])
-                duplicate, copy = relay_step(entity.cache, rid, msg, dist, draw, cfg)
-                received.append(rid)
-                part["duplicates" if duplicate else "delivered"] += 1
-                if copy is not None:
-                    part["forwarded"] += 1
-                    outgoing.append((copy, rid, entity.x, entity.y))
-            if received:
-                audit.record(msg, received)
+            if live_hits:
+                batch.append((msg, sender_id, hits[:live_hits], dxs, dys))
+                batch_hits += live_hits
+                if batch_hits >= n_live:
+                    self._receive_batch(lp, live, live_ids, batch, part, outgoing)
+                    batch.clear()
+                    batch_hits = 0
+        if batch:
+            self._receive_batch(lp, live, live_ids, batch, part, outgoing)
 
         # Fresh traffic, in id order so staging order is reproducible.
         gen_prob = cfg.generation_prob
         if gen_prob > 0:
-            for eid in sorted(lp.entities):
-                if rng.unit_uniform(cfg.seed, rng.GENERATION, eid, t) < gen_prob:
+            ids = sorted(lp.entities)
+            coins = rng.unit_uniforms((cfg.seed, rng.GENERATION), np.array(ids, dtype=np.int64), t)
+            for eid, coin in zip(ids, coins.tolist()):
+                if coin < gen_prob:
                     entity = lp.entities[eid]
                     msg = generate_message(eid, entity.next_seq, t, cfg)
                     entity.next_seq += 1
@@ -309,6 +312,45 @@ class SimEngine:
         for tx in outgoing:
             for tgt in self._target_lps(tx[2]):
                 nxt[tgt][lp.lp_id].append(tx)
+
+    def _receive_batch(
+        self,
+        lp: LogicalProcess,
+        live: list[Entity],
+        live_ids: np.ndarray,
+        batch: list[_Rx],
+        part: dict,
+        outgoing: list[_Tx],
+    ) -> None:
+        """Run the receipts of ``batch`` in order, with their coins drawn at once."""
+        cfg = self.config
+        audit = self._audits[lp.lp_id]
+        counts = [len(hits) for _, _, hits, _, _ in batch]
+        coins = rng.unit_uniforms(
+            (cfg.seed, rng.FORWARD),
+            live_ids[np.concatenate([hits for _, _, hits, _, _ in batch])],
+            np.repeat([msg.msg_id[0] for msg, _, _, _, _ in batch], counts),
+            np.repeat([msg.msg_id[1] for msg, _, _, _, _ in batch], counts),
+        ).tolist()
+        start = 0
+        for (msg, sender_id, hits, dxs, dys), count in zip(batch, counts):
+            draws = coins[start : start + count]
+            start += count
+            received: list[int] = []
+            for i, dx, dy, draw in zip(hits.tolist(), dxs.tolist(), dys.tolist(), draws):
+                entity = live[i]
+                rid = entity.id
+                if rid == sender_id:
+                    continue
+                dist = math.hypot(dx, dy)
+                duplicate, copy = relay_step(entity.cache, rid, msg, dist, draw, cfg)
+                received.append(rid)
+                part["duplicates" if duplicate else "delivered"] += 1
+                if copy is not None:
+                    part["forwarded"] += 1
+                    outgoing.append((copy, rid, entity.x, entity.y))
+            if received:
+                audit.record(msg, received)
 
     def _phase_mobility(self, lp: LogicalProcess) -> None:
         cfg = self.config

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 # Stream tags keep draws for different purposes out of each other's way.
@@ -42,6 +44,42 @@ def unit_uniform(*keys: int) -> float:
     """Uniform draw in [0, 1) fully determined by the key tuple."""
     # 53 bits is the full double mantissa; same construction as random.random.
     return (mix(*keys) >> 11) / float(1 << 53)
+
+
+def _splitmix64_inplace(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` over a ``uint64`` array, in place.
+
+    numpy's ``uint64`` ``+``, ``*``, ``^`` and ``>>`` wrap mod 2**64, which is
+    what the masks do in the scalar version.
+    """
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def unit_uniforms(head: tuple[int, ...], *columns: np.ndarray | int) -> np.ndarray:
+    """``unit_uniform(*head, *row)`` for every row of ``columns``, as one array.
+
+    Each column is an ``int64`` array with one key per row, or a plain int
+    shared by every row; at least one must be an array.  The result equals
+    the scalar draws bit for bit: the leading keys are hashed once as a
+    Python int (so a seed of any size or sign is fine), and the rest is the
+    same fold of ``mix`` done row-wise in ``uint64``.
+    """
+    rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    h = np.full(rows, mix(*head), dtype=np.uint64)
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            # int64 -> uint64 keeps the bits, which is ``k & _MASK64``.
+            h ^= _splitmix64_inplace(col.astype(np.uint64))
+        else:
+            h ^= np.uint64(_splitmix64(col & _MASK64))
+        _splitmix64_inplace(h)
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
 def substream(*keys: int) -> random.Random:

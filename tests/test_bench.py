@@ -260,6 +260,8 @@ def test_read_plan_file_rejects_bad_input(tmp_path):
         ("axis=ses\nvalues=10,10\n", ":2", "value 10 is listed more than once"),
         # Checks that need the whole config still name the values= line.
         ("axis=lps\nvalues=1,0\n", ":2", "num_lps must be >= 1"),
+        # A check across the base settings' fields names the plan.
+        ("axis=ses\nvalues=10,20\nlps=0\n", "", "num_lps must be >= 1"),
     ):
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"{path}{where}: ") + match):
@@ -325,6 +327,17 @@ def test_bad_value_exits_2_naming_its_source(tmp_path, capsys, how):
     }[how]
     assert main(argv) == 2
     assert f"config error: {source}: bad boolean 'maybe'" in capsys.readouterr().err
+
+
+def test_cross_field_error_in_config_file_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timesteps=3\nlps=0\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"config error: {cfg}: num_lps must be >= 1" in capsys.readouterr().err
+    # The fault may lie in a flag given over the file: both are named.
+    cfg.write_text("timesteps=3\n")
+    assert main(["simulate", "--config", str(cfg), "--lps", "0", "--seed", "2"]) == 2
+    assert f"config error: {cfg} with --lps --seed: num_lps must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_simulate_with_config_file_and_override(tmp_path, capsys):

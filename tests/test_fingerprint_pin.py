@@ -1,7 +1,9 @@
 """Pinned result digests: a refactor that changes what a run computes fails here.
 
-Both digests were recorded before the option-grammar and reintegration
-refactors; a change that alters them on purpose must say so and re-pin.
+The first two digests were recorded before the option-grammar and
+reintegration refactors, the quick-start one from the engine that drew every
+coin with the scalar ``rng.unit_uniform``, before the array kernel replaced
+those draws.  A change that alters them on purpose must say so and re-pin.
 """
 
 import hashlib
@@ -34,10 +36,15 @@ PINS = [
         ),
         "cf5943ce6dc12da7f729534eac5de8ffd28b450f7925cbbf886300d31334b528",
     ),
+    # The README quick start: 1 LP, gossip only, 100 steps.
+    (
+        SimConfig(num_ses=1000, total_timesteps=100, generation_prob=0.01, seed=7),
+        "fd5c86408264e7b8f22452b9d00052da54821ad7a2e0ce3f1424b9dee93158ea",
+    ),
 ]
 
 
-@pytest.mark.parametrize("config,digest", PINS, ids=["gossip-1lp", "loopback-2lp"])
+@pytest.mark.parametrize("config,digest", PINS, ids=["gossip-1lp", "loopback-2lp", "quick-start"])
 def test_fingerprint_matches_pin(config, digest):
     result = run_simulation(config)
     text = json.dumps(result.fingerprint(), separators=(",", ":"))

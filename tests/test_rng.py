@@ -2,6 +2,9 @@
 
 import random
 
+import numpy as np
+import pytest
+
 from iotsim import rng
 
 
@@ -51,3 +54,28 @@ def test_substream_is_reproducible_and_isolated():
 
 def test_negative_keys_are_accepted():
     assert 0.0 <= rng.unit_uniform(-1, -99999) < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**64 - 1])
+def test_unit_uniforms_equal_scalar_draws_bit_for_bit(seed):
+    # Keys 0 and -1, the int64 extremes and ordinary ids: 3 x 4 x 10004 rows.
+    i64 = np.iinfo(np.int64)
+    ids = np.concatenate([np.arange(-1, 10_000), [i64.min, i64.max, -2, 2**40]]).astype(np.int64)
+    keys = ids.tolist()
+    # Forward coins: receiver id, message origin, message sequence number.
+    origins, seqs = ids[::-1].copy(), ids % 5
+    got = rng.unit_uniforms((seed, rng.FORWARD), ids, origins, seqs).tolist()
+    want = [
+        rng.unit_uniform(seed, rng.FORWARD, r, o, q)
+        for r, o, q in zip(keys, origins.tolist(), seqs.tolist())
+    ]
+    assert got == want
+    # Generation coins: entity id and a timestep shared by every row.
+    for t in (0, -1, 899):
+        got = rng.unit_uniforms((seed, rng.GENERATION), ids, t).tolist()
+        assert got == [rng.unit_uniform(seed, rng.GENERATION, eid, t) for eid in keys]
+
+
+def test_unit_uniforms_of_an_empty_column_is_empty():
+    out = rng.unit_uniforms((3, rng.GENERATION), np.array([], dtype=np.int64), 4)
+    assert out.dtype == np.float64 and out.shape == (0,)
