@@ -24,27 +24,7 @@ from typing import Optional
 from . import rng
 from .config import OPTIONS, ConfigError, SimConfig, SpawnTrigger, config_to_file_text
 from .level0 import RunResult, run_simulation
-
-
-def measure_peak_memory(pid: Optional[int] = None) -> Optional[int]:
-    """Peak resident set size in bytes, None when the facility is missing."""
-    target = pid if pid is not None else "self"
-    try:
-        text = Path(f"/proc/{target}/status").read_text()
-    except OSError:
-        if pid is not None:
-            return None
-        try:
-            import resource
-
-            # Linux reports kilobytes.
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        except Exception:
-            return None
-    for line in text.splitlines():
-        if line.startswith("VmHWM:"):
-            return int(line.split()[1]) * 1024
-    return None
+from .protocol import measure_peak_memory
 
 
 @dataclass(slots=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import socket
 import sys
 from pathlib import Path
 from typing import Optional
@@ -13,8 +12,8 @@ from typing import Optional
 from .bench import SWEEP_OPTIONS, ExperimentPlan, collect_metrics, measure_peak_memory, run_experiment
 from .config import OPTIONS, ConfigError, SimConfig, parse_option, read_config_file, read_key_values
 from .level0 import SimulationError, run_simulation
-from .level1 import make_handlers
-from .protocol import Init, InstanceHandlers, ProtocolError, TcpTransport, serve_session
+from .level1 import add_server_flags, serve_from_args
+from .protocol import ProtocolError
 
 # Sweeps default to desk scale; single runs keep the reference workload.
 SWEEP_DEFAULT_TIMESTEPS = 100
@@ -176,49 +175,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- l1-server -------------------------------------------------------------------
-
-
-def _cmd_l1_server(args: argparse.Namespace) -> int:
-    expected_id: Optional[str] = args.instance_id
-
-    def make_checked(init: Init) -> InstanceHandlers:
-        if expected_id is not None and init.instance_id != expected_id:
-            raise ProtocolError(
-                "instance-mismatch",
-                f"serving {expected_id!r} but INIT names {init.instance_id!r}",
-            )
-        return make_handlers(init)
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        listener.bind(("127.0.0.1", args.port))
-        listener.listen(1)
-        # The spawner reads this line to learn the ephemeral port.
-        print(f"PORT={listener.getsockname()[1]}", flush=True)
-        listener.settimeout(args.accept_timeout)
-        try:
-            conn, _ = listener.accept()
-        except socket.timeout:
-            print("no connection arrived", file=sys.stderr)
-            return 1
-    finally:
-        listener.close()
-
-    transport = TcpTransport(conn)
-    try:
-        serve_session(transport, make_checked)
-    except ProtocolError as exc:
-        print(f"session failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        transport.close()
-        peak = measure_peak_memory()
-        if peak is not None:
-            print(f"VMHWM={peak}", flush=True)
-    return 0
-
-
 # -- entry point ------------------------------------------------------------------
 
 
@@ -242,11 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
+    # The same server the engine spawns as ``python -m iotsim.level1``.
     p_srv = sub.add_parser("l1-server", help="serve one fine-grained session over TCP")
-    p_srv.add_argument("--port", type=int, default=0, help="listen port (0 = ephemeral)")
-    p_srv.add_argument("--instance-id", default=None, help="expected instance id")
-    p_srv.add_argument("--accept-timeout", type=float, default=60.0)
-    p_srv.set_defaults(func=_cmd_l1_server)
+    add_server_flags(p_srv)
+    p_srv.set_defaults(func=serve_from_args)
     return parser
 
 

@@ -622,16 +622,8 @@ def _drive_loopback(init: Init, t: int, transcript):
 
 
 def _drive_subprocess(init: Init, t: int, transcript):
-    cmd = [
-        sys.executable,
-        "-m",
-        "iotsim",
-        "l1-server",
-        "--port",
-        "0",
-        "--instance-id",
-        init.instance_id,
-    ]
+    # The lean entry: the child loads level1, the protocol and rng, not this module.
+    cmd = [sys.executable, "-m", "iotsim.level1", "--port", "0", "--instance-id", init.instance_id]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     transport: Optional[Transport] = None
     try:

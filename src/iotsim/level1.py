@@ -6,6 +6,11 @@ floods the mesh hop by hop, the destination node answers along the reverse
 path with its position, and the entity then walks toward it.  Time is an
 integer count of fine ticks; ``fine_steps`` ticks make up one coarse timestep
 of the driving simulation.
+
+``python -m iotsim.level1 --port 0 --instance-id ID`` serves one instance
+over TCP; it is the child the coarse engine spawns for each TCP session.  It
+loads only this module, the protocol and the scalar hash (no numpy, no coarse
+engine), so a session pays for a small interpreter start.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from enum import IntEnum
 from typing import Optional
 
 from . import rng
-from .protocol import Counters, EntityRecord, Init, InstanceHandlers
+from .protocol import Counters, EntityRecord, Init, InstanceHandlers, serve_tcp
 
 GRID_SPACING = 20.0
 # In [spacing, spacing*sqrt(2)): grid radio links are exactly 4-adjacent.
@@ -424,3 +429,25 @@ def make_handlers(init: Init) -> InstanceHandlers:
     """Adapter wiring an instance into protocol.serve_session."""
     inst = L1Instance.from_init(init)
     return InstanceHandlers(run_step=inst.run_one_coarse_step, finalize=inst.finalize)
+
+
+def add_server_flags(parser) -> None:
+    """The TCP server's flags, on an ``argparse`` parser."""
+    parser.add_argument("--port", type=int, default=0, help="listen port (0 = ephemeral)")
+    parser.add_argument("--instance-id", default=None, help="expected instance id")
+    parser.add_argument("--accept-timeout", type=float, default=60.0)
+
+
+def serve_from_args(args) -> int:
+    return serve_tcp(make_handlers, args.port, args.instance_id, args.accept_timeout)
+
+
+if __name__ == "__main__":
+    import argparse
+    import sys
+
+    parser = argparse.ArgumentParser(
+        prog="python -m iotsim.level1", description="Serve one fine-grained session over TCP."
+    )
+    add_server_flags(parser)
+    sys.exit(serve_from_args(parser.parse_args()))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import queue
 import socket
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -498,3 +499,71 @@ def serve_session(
             return
         else:
             raise fail("protocol-violation", f"expected CONTINUE or END, got {type(msg).__name__}")
+
+
+def measure_peak_memory() -> Optional[int]:
+    """This process's peak resident set size in bytes, None when the facility is missing."""
+    try:
+        with open("/proc/self/status") as status:
+            text = status.read()
+    except OSError:
+        try:
+            import resource
+
+            # Linux reports kilobytes.
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        except Exception:
+            return None
+    for line in text.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) * 1024
+    return None
+
+
+def serve_tcp(
+    make_instance: Callable[[Init], InstanceHandlers],
+    port: int,
+    instance_id: Optional[str],
+    accept_timeout: float,
+) -> int:
+    """Instance side over TCP: accept one connection, serve one session.
+
+    Prints ``PORT=<port>`` once listening (the spawner reads it to learn an
+    ephemeral port) and ``VMHWM=<bytes>`` after the session.  An INIT naming
+    another instance than ``instance_id`` is refused.  Returns the exit status.
+    """
+
+    def make_checked(init: Init) -> InstanceHandlers:
+        if instance_id is not None and init.instance_id != instance_id:
+            raise ProtocolError(
+                "instance-mismatch",
+                f"serving {instance_id!r} but INIT names {init.instance_id!r}",
+            )
+        return make_instance(init)
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.bind(("127.0.0.1", port))
+        listener.listen(1)
+        print(f"PORT={listener.getsockname()[1]}", flush=True)
+        listener.settimeout(accept_timeout)
+        try:
+            conn, _ = listener.accept()
+        except socket.timeout:
+            print("no connection arrived", file=sys.stderr)
+            return 1
+    finally:
+        listener.close()
+
+    transport = TcpTransport(conn)
+    try:
+        serve_session(transport, make_checked)
+    except ProtocolError as exc:
+        print(f"session failed: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        transport.close()
+        peak = measure_peak_memory()
+        if peak is not None:
+            print(f"VMHWM={peak}", flush=True)
+    return 0

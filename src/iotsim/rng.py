@@ -6,13 +6,18 @@ of the run seed plus the identifiers that name the decision (entity id,
 timestep, message id).  Stateful ``random.Random`` streams are only used where
 a single owner consumes the whole stream in a fixed order: world setup and the
 per-entity mobility walk.
+
+numpy is imported only by the array kernel, so the fine-grained instance,
+which uses the scalar draws alone, does not load it.
 """
 
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,6 +57,8 @@ def _splitmix64_inplace(z: np.ndarray) -> np.ndarray:
     numpy's ``uint64`` ``+``, ``*``, ``^`` and ``>>`` wrap mod 2**64, which is
     what the masks do in the scalar version.
     """
+    import numpy as np
+
     z += np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -70,6 +77,8 @@ def unit_uniforms(head: tuple[int, ...], *columns: np.ndarray | int) -> np.ndarr
     Python int (so a seed of any size or sign is fine), and the rest is the
     same fold of ``mix`` done row-wise in ``uint64``.
     """
+    import numpy as np
+
     rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
     h = np.full(rows, mix(*head), dtype=np.uint64)
     for col in columns:

@@ -3,7 +3,9 @@
 The first two digests were recorded before the option-grammar and
 reintegration refactors, the quick-start one from the engine that drew every
 coin with the scalar ``rng.unit_uniform``, before the array kernel replaced
-those draws.  A change that alters them on purpose must say so and re-pin.
+those draws, and the TCP one from the engine that spawned its session child
+as ``python -m iotsim l1-server``.  A change that alters them on purpose must
+say so and re-pin.
 """
 
 import hashlib
@@ -41,11 +43,37 @@ PINS = [
         SimConfig(num_ses=1000, total_timesteps=100, generation_prob=0.01, seed=7),
         "fd5c86408264e7b8f22452b9d00052da54821ad7a2e0ce3f1424b9dee93158ea",
     ),
+    # 2 LPs over TCP, one spawned child per session: two sessions at once at
+    # t=2, and one on the last step.
+    (
+        SimConfig(
+            num_ses=120,
+            num_lps=2,
+            total_timesteps=6,
+            generation_prob=0.05,
+            l1_schedule=(SpawnTrigger(2, 0, 2), SpawnTrigger(2, 1, 2), SpawnTrigger(5, 0, 2)),
+            l1_fine_steps_per_timestep=50,
+            l1_transport="tcp",
+            seed=23,
+        ),
+        "1b7180ccb8a5ee33a323b63bb6ac2b449beed0675a08a7c1c0397ad2cbde918e",
+    ),
 ]
 
 
-@pytest.mark.parametrize("config,digest", PINS, ids=["gossip-1lp", "loopback-2lp", "quick-start"])
-def test_fingerprint_matches_pin(config, digest):
+def _digest(config):
     result = run_simulation(config)
     text = json.dumps(result.fingerprint(), separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config,digest", PINS, ids=["gossip-1lp", "loopback-2lp", "quick-start", "tcp-2lp"]
+)
+def test_fingerprint_matches_pin(config, digest):
+    assert _digest(config) == digest
+
+
+def test_tcp_pin_config_gives_the_same_digest_over_loopback():
+    config, digest = PINS[-1]
+    assert _digest(config.with_updates(l1_transport="loopback")) == digest

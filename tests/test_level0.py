@@ -340,6 +340,48 @@ def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
     assert child.killed and child.reaped
 
 
+# -- the TCP session child ------------------------------------------------------------
+
+
+def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
+    children = []
+
+    class ImportTimed(subprocess.Popen):
+        """The engine's own command under ``-X importtime``: the child lists
+        on stderr every module it imports, whenever it imports it."""
+
+        def __init__(self, cmd, **kwargs):
+            super().__init__([cmd[0], "-X", "importtime", *cmd[1:]], **kwargs)
+            children.append(self)
+
+        def communicate(self, *args, **kwargs):
+            out, err = super().communicate(*args, **kwargs)
+            self.imports = {
+                line.rsplit("|", 1)[1].strip()
+                for line in err.splitlines()
+                if line.startswith("import time:")
+            }
+            return out, err
+
+    monkeypatch.setattr(subprocess, "Popen", ImportTimed)
+    cfg = SimConfig(
+        num_ses=40,
+        total_timesteps=2,
+        generation_prob=0.0,
+        l1_schedule=(SpawnTrigger(0, 0, 2),),
+        l1_fine_steps_per_timestep=50,
+        l1_transport="tcp",
+        seed=4,
+    )
+    result = run_simulation(cfg)
+    (child,) = children
+    assert child.returncode == 0
+    assert result.session_logs[0].child_peak_rss > 0
+    assert "iotsim.protocol" in child.imports  # the listing was read
+    coarse = {"numpy", "iotsim.level0", "iotsim.bench", "iotsim.config", "iotsim.world", "iotsim.cli"}
+    assert not coarse & child.imports
+
+
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---
 
 
