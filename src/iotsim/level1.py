@@ -51,7 +51,6 @@ class RouteDiscoveryTimeout(RuntimeError):
 
 
 class EventKind(IntEnum):
-    BEACON = 1
     QUERY = 2
     RREQ = 3
     RREP = 4
@@ -119,11 +118,13 @@ class GridScenario:
             (ax + (n % side) * spacing, ay + (n // side) * spacing) for n in range(side * side)
         )
         # Link by actual distance, not index math: the 4-adjacency shape is a
-        # consequence of the chosen range, not an assumption.
+        # consequence of the chosen range, not an assumption.  Index math only
+        # narrows the candidates to the nodes that could be in range.
+        reach = _index_reach(spacing, radio_range)
         neighbors = tuple(
             tuple(
                 m
-                for m in range(side * side)
+                for m in _window(side, n % side, n // side, reach)
                 if m != n and math.dist(positions[n], positions[m]) <= radio_range
             )
             for n in range(side * side)
@@ -143,6 +144,30 @@ class GridScenario:
         return self.side * self.side
 
 
+def _index_reach(spacing: float, radio_range: float) -> int:
+    """Index offset beyond which two grid points are farther apart than the range."""
+    return math.floor(radio_range / spacing) + 1
+
+
+def _window(side: int, col: int, row: int, reach: int) -> list[int]:
+    """Nodes within ``reach`` rows and columns of (col, row), in ascending order."""
+    rows = range(max(0, row - reach), min(side, row + reach + 1))
+    cols = range(max(0, col - reach), min(side, col + reach + 1))
+    return [r * side + c for r in rows for c in cols]
+
+
+def beacons_before(phase_counts: list[int], tick: int) -> int:
+    """Beacons sent at ticks < ``tick`` by nodes that first beacon at their phase.
+
+    ``phase_counts[p]`` nodes beacon at ``p + k * BEACON_INTERVAL``, k >= 0.
+    """
+    return sum(
+        count * ((tick - 1 - phase) // BEACON_INTERVAL + 1)
+        for phase, count in enumerate(phase_counts)
+        if phase < tick
+    )
+
+
 @dataclass(slots=True)
 class L1Entity:
     id: int
@@ -155,10 +180,6 @@ class L1Entity:
     query_seq: int = 0
     query_attempts: int = 0
     timed_out: bool = False
-
-
-# Hop identifiers: ("n", grid node index) or ("e", entity id).
-Key = tuple[str, int]
 
 
 @dataclass(slots=True)
@@ -181,7 +202,6 @@ class L1Instance:
         scenario: GridScenario,
         entities: list[L1Entity],
         fine_steps: int,
-        beacons: bool = True,
     ) -> None:
         self.instance_id = instance_id
         self.scenario = scenario
@@ -193,15 +213,21 @@ class L1Instance:
         self.counters = _Counters()
         self.session_step = 0
         self.last_tick = 0
+        # Every node beacons from tick n % WARMUP_TICKS on, every
+        # BEACON_INTERVAL ticks.  A beacon changes nothing but the event
+        # count, so beacons are counted per window instead of queued.
+        nodes = scenario.num_nodes
+        self.beacon_phases = [
+            nodes // WARMUP_TICKS + (phase < nodes % WARMUP_TICKS) for phase in range(WARMUP_TICKS)
+        ]
+        self.beacons_sent = 0
+        # Hop keys are ints: grid node n as n >= 0, entity e as ~e < 0.
         # Per grid node: route target -> (next hop, hop count, freshness seq).
-        self.node_routes: list[dict[Key, tuple[Key, int, int]]] = [
+        self.node_routes: list[dict[int, tuple[int, int, int]]] = [
             {} for _ in range(scenario.num_nodes)
         ]
-        self.rreq_seen: set[tuple[Key, int, int]] = set()  # (origin, seq, node)
+        self.rreq_seen: set[tuple[int, int, int]] = set()  # (origin, seq, node)
         self.node_rrep_result: dict[int, int] = {}
-        if beacons:
-            for n in range(scenario.num_nodes):
-                self.queue.schedule(n % WARMUP_TICKS, (EventKind.BEACON, n))
 
     # -- construction -------------------------------------------------------
 
@@ -239,6 +265,9 @@ class L1Instance:
     # -- event loop ---------------------------------------------------------
 
     def _run_until(self, end_tick: int) -> None:
+        sent = beacons_before(self.beacon_phases, end_tick)
+        self.counters.events_processed += sent - self.beacons_sent
+        self.beacons_sent = sent
         while True:
             item = self.queue.pop_before(end_tick)
             if item is None:
@@ -252,9 +281,7 @@ class L1Instance:
 
     def _dispatch(self, tick: int, event: tuple) -> None:
         kind = event[0]
-        if kind == EventKind.BEACON:
-            self.queue.schedule(tick + BEACON_INTERVAL, event)
-        elif kind == EventKind.QUERY:
+        if kind == EventKind.QUERY:
             self._on_query(tick, event[1])
         elif kind == EventKind.RREQ:
             self._on_rreq(tick, *event[1:])
@@ -266,10 +293,19 @@ class L1Instance:
             raise SchedulingError(f"unknown event kind {kind}")
 
     def _entry_nodes(self, x: float, y: float) -> list[int]:
+        """Nodes whose radio reaches (x, y), in ascending order."""
+        sc = self.scenario
+        reach = _index_reach(sc.spacing, sc.radio_range)
+        ax, ay = sc.positions[0]
+        # Cell coordinates of the point; NaN and far-off points fail here.
+        cx = (x - ax) / sc.spacing
+        cy = (y - ay) / sc.spacing
+        if not (-reach <= cx <= sc.side - 1 + reach and -reach <= cy <= sc.side - 1 + reach):
+            return []
         return [
             n
-            for n in range(self.scenario.num_nodes)
-            if math.dist((x, y), self.scenario.positions[n]) <= self.scenario.radio_range
+            for n in _window(sc.side, math.floor(cx), math.floor(cy), reach)
+            if math.dist((x, y), sc.positions[n]) <= sc.radio_range
         ]
 
     def _on_query(self, tick: int, eid: int) -> None:
@@ -281,20 +317,19 @@ class L1Instance:
             return
         entity.query_attempts += 1
         entity.query_seq += 1
-        origin: Key = ("e", eid)
+        origin = ~eid
         self.counters.rreq += 1
         for n in self._entry_nodes(entity.x, entity.y):
             self.queue.schedule(tick + 1, (EventKind.RREQ, n, origin, entity.query_seq, 1, origin))
         self.queue.schedule(tick + QUERY_RETRY_TICKS, (EventKind.QUERY, eid))
 
     def _flood_from_node(self, tick: int, source: int, seq: int) -> None:
-        origin: Key = ("n", source)
         self.counters.rreq += 1
         for m in self.scenario.neighbors[source]:
-            self.queue.schedule(tick + 1, (EventKind.RREQ, m, origin, seq, 1, origin))
+            self.queue.schedule(tick + 1, (EventKind.RREQ, m, source, seq, 1, source))
 
-    def _on_rreq(self, tick: int, node: int, origin: Key, seq: int, hops: int, prev: Key) -> None:
-        if origin == ("n", node):
+    def _on_rreq(self, tick: int, node: int, origin: int, seq: int, hops: int, prev: int) -> None:
+        if origin == node:
             return  # own flood echoed back
         if (origin, seq, node) in self.rreq_seen:
             return
@@ -304,37 +339,33 @@ class L1Instance:
         if node == self.scenario.destination:
             self.counters.rrep += 1
             dest_pos = self.scenario.node_pos(node)
-            sender: Key = ("n", node)
             self.queue.schedule(
-                tick + 1, (EventKind.RREP, prev, origin, seq, dest_pos, hops, 1, sender)
+                tick + 1, (EventKind.RREP, prev, origin, seq, dest_pos, hops, 1, node)
             )
             return
         self.counters.rreq += 1
-        relay: Key = ("n", node)
         for m in self.scenario.neighbors[node]:
-            self.queue.schedule(tick + 1, (EventKind.RREQ, m, origin, seq, hops + 1, relay))
+            self.queue.schedule(tick + 1, (EventKind.RREQ, m, origin, seq, hops + 1, node))
 
     def _on_rrep(
         self,
         tick: int,
-        target: Key,
-        origin: Key,
+        target: int,
+        origin: int,
         seq: int,
         dest_pos: tuple,
         route_hops: int,
         back_hops: int,
-        sender: Key,
+        sender: int,
     ) -> None:
         if target == origin:
             self._deliver_rrep(tick, origin, dest_pos, route_hops)
             return
-        kind, node = target
-        if kind != "n":
+        if target < 0:
             return  # reply addressed to an entity that is not the querier
         # Forward route toward the destination, learned from the reply path.
-        dest_key: Key = ("n", self.scenario.destination)
-        self.node_routes[node][dest_key] = (sender, back_hops, seq)
-        route = self.node_routes[node].get(origin)
+        self.node_routes[target][self.scenario.destination] = (sender, back_hops, seq)
+        route = self.node_routes[target].get(origin)
         if route is None:
             return  # reverse path unknown; the reply dies here
         self.counters.rrep += 1
@@ -343,11 +374,11 @@ class L1Instance:
             (EventKind.RREP, route[0], origin, seq, dest_pos, route_hops, back_hops + 1, target),
         )
 
-    def _deliver_rrep(self, tick: int, origin: Key, dest_pos: tuple, route_hops: int) -> None:
-        kind, ident = origin
-        if kind == "n":
-            self.node_rrep_result.setdefault(ident, route_hops)
+    def _deliver_rrep(self, tick: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
+        if origin >= 0:
+            self.node_rrep_result.setdefault(origin, route_hops)
             return
+        ident = ~origin
         entity = self.entities[ident]
         if entity.dest_pos is not None:
             return  # duplicate reply
@@ -395,26 +426,18 @@ class L1Instance:
             for e in (self.entities[eid] for eid in self.entity_order)
         )
 
-    @property
-    def local_clock(self) -> float:
-        """Coarse timeunits elapsed inside the current activation, in [0, 1]."""
-        start = WARMUP_TICKS + (self.session_step - 1) * self.fine_steps
-        if self.session_step == 0 or self.queue.now <= start:
-            return 0.0
-        return min(1.0, (self.queue.now - start) / self.fine_steps)
-
 
 def discover_route(scenario: GridScenario, source: int, destination: int) -> int:
     """Hop count from a grid node to ``destination``, via flood discovery.
 
-    Standalone probe used by tests and tooling: no beacons, no entities, the
+    Standalone probe used by tests and tooling: no entities, the
     source node floods at tick 0 and the answer returns along the reverse
     path.  Raises RouteDiscoveryTimeout if the mesh is disconnected.
     """
     if source == destination:
         return 0
     probe = scenario if scenario.destination == destination else scenario.with_destination(destination)
-    inst = L1Instance("probe", probe, [], fine_steps=1, beacons=False)
+    inst = L1Instance("probe", probe, [], fine_steps=1)
     inst._flood_from_node(0, source, 1)
     while source not in inst.node_rrep_result:
         item = inst.queue.pop()

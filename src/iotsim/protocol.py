@@ -74,6 +74,9 @@ class EntityRecord:
         object.__setattr__(self, "y", round(float(self.y), 6))
         if self.kind not in ("static", "mobile"):
             raise ProtocolError("bad-field", f"unknown entity kind {self.kind!r}")
+        # The fine level keys an entity's hops by ~id, which must not meet a node index.
+        if self.id < 0:
+            raise ProtocolError("bad-field", f"negative entity id {self.id}")
 
 
 @dataclass(frozen=True, slots=True)

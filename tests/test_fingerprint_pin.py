@@ -6,6 +6,11 @@ coin with the scalar ``rng.unit_uniform``, before the array kernel replaced
 those draws, and the TCP one from the engine that spawned its session child
 as ``python -m iotsim l1-server``.  A change that alters them on purpose must
 say so and re-pin.
+
+``RunResult.fingerprint()`` holds no session counters, so the transcript pins
+below cover them: the sha256 of every loopback line, both directions, of
+every session.  They were recorded from the engine that still queued one
+event per grid beacon, before beacons were counted in closed form.
 """
 
 import hashlib
@@ -14,7 +19,7 @@ import json
 import pytest
 
 from iotsim.config import SimConfig, SpawnTrigger
-from iotsim.level0 import run_simulation
+from iotsim.level0 import SimEngine, run_simulation
 
 PINS = [
     # 1 LP, gossip only: the L0 receive path.
@@ -77,3 +82,40 @@ def test_fingerprint_matches_pin(config, digest):
 def test_tcp_pin_config_gives_the_same_digest_over_loopback():
     config, digest = PINS[-1]
     assert _digest(config.with_updates(l1_transport="loopback")) == digest
+
+
+TRANSCRIPT_PINS = [
+    # The 2-LP loopback pin's config.
+    (
+        PINS[1][0],
+        "0dc726ecadc6c697e3f6b304637c8f31e76213dd2ddb91728b523dca3241b573",
+    ),
+    # Shaped like the benchmark's l1-loopback workload: grid side 20, 500
+    # fine steps, one 4-entity session per step on alternating stripes.
+    (
+        SimConfig(
+            num_ses=300,
+            num_lps=2,
+            total_timesteps=4,
+            generation_prob=0.01,
+            l1_schedule=tuple(SpawnTrigger(t, t % 2, 4) for t in range(4)),
+            l1_fine_steps_per_timestep=500,
+            l1_grid_side=20,
+            l1_transport="loopback",
+            seed=1000,
+        ),
+        "50e41b8ef1a45c243082c242cc8a45e0d8a7de6f7ddfdc64d2147a505b31066f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,digest", TRANSCRIPT_PINS, ids=["loopback-2lp", "l1-loopback-shape"]
+)
+def test_session_transcripts_match_pin(config, digest):
+    result = SimEngine(config, keep_transcripts=True).run()
+    h = hashlib.sha256()
+    for log in sorted(result.session_logs, key=lambda log: log.instance_id):
+        for direction, line in log.transcript:
+            h.update(direction.encode() + b" " + line)
+    assert h.hexdigest() == digest

@@ -1,15 +1,17 @@
 """Fine-grained engine: event queue, grid mesh, discovery, and walking."""
 
 import math
+import random
 from collections import deque
 
 import pytest
 
 from iotsim import rng
 from iotsim.level1 import (
+    BEACON_INTERVAL,
     GRID_SPACING,
     QUERY_RETRY_LIMIT,
-    EventKind,
+    WARMUP_TICKS,
     EventQueue,
     EventQueueOverflow,
     GridScenario,
@@ -17,6 +19,7 @@ from iotsim.level1 import (
     L1Instance,
     RouteDiscoveryTimeout,
     SchedulingError,
+    beacons_before,
     discover_route,
 )
 from iotsim.protocol import EntityRecord, Final, Init, encode
@@ -93,6 +96,24 @@ def test_grid_links_are_four_adjacent(side):
             assert math.dist(scenario.positions[n], scenario.positions[m]) == GRID_SPACING
 
 
+@pytest.mark.parametrize("radio_range", [20.0, 25.0, 45.0])
+def test_grid_links_equal_the_all_pairs_scan(radio_range):
+    # At 45.0 a node reaches two rows and columns away, so the candidate
+    # window must widen with the range.
+    for side in range(2, 16):
+        scenario = GridScenario.build(
+            side, destination=0, anchor=(-313.7, 1024.25), radio_range=radio_range
+        )
+        pos = scenario.positions
+        want = tuple(
+            tuple(
+                m for m in range(side * side) if m != n and math.dist(pos[n], pos[m]) <= radio_range
+            )
+            for n in range(side * side)
+        )
+        assert scenario.neighbors == want
+
+
 def test_grid_positions_follow_anchor():
     scenario = GridScenario.build(3, destination=0, anchor=(100.0, -40.0))
     assert scenario.node_pos(0) == (100.0, -40.0)
@@ -103,6 +124,76 @@ def test_grid_positions_follow_anchor():
 def test_grid_rejects_destination_outside():
     with pytest.raises(ValueError):
         GridScenario.build(3, destination=9)
+
+
+def _entry_scan(scenario, x, y):
+    return [
+        n
+        for n in range(scenario.num_nodes)
+        if math.dist((x, y), scenario.positions[n]) <= scenario.radio_range
+    ]
+
+
+@pytest.mark.parametrize("radio_range", [20.0, 25.0, 45.0])
+def test_entry_nodes_equal_the_full_scan(radio_range):
+    scenario = GridScenario.build(6, destination=0, anchor=(57.5, -20.0), radio_range=radio_range)
+    inst = L1Instance("t0-lp0-0", scenario, [], fine_steps=1)
+    (x0, y0), (x1, y1) = scenario.positions[0], scenario.positions[-1]
+    draw = random.Random(11)
+    points = [(draw.uniform(x0, x1), draw.uniform(y0, y1)) for _ in range(200)]  # inside
+    points += [
+        (draw.uniform(x0 - 150, x1 + 150), draw.uniform(y0 - 150, y1 + 150)) for _ in range(400)
+    ]
+    # Exactly on the range boundary of a corner, an edge and an inner node.
+    r = radio_range
+    for nx, ny in (scenario.positions[0], scenario.positions[3], scenario.positions[14]):
+        points += [(nx - r, ny), (nx + r, ny), (nx, ny - r), (nx, ny + r)]
+    points += [(x0 - radio_range - 1e-9, y0), (x1, y1 + radio_range + 1e-9)]  # just outside
+    points += [(1e12, y0), (x0, -1e300), (math.inf, y0), (math.nan, y0)]  # far off
+    for x, y in points:
+        assert inst._entry_nodes(x, y) == _entry_scan(scenario, x, y), (x, y)
+    assert inst._entry_nodes(x0 - radio_range, y0) == [0]
+
+
+# -- beacons ------------------------------------------------------------------
+
+
+def _beacons_by_enumeration(num_nodes, start, end):
+    return sum(
+        1
+        for n in range(num_nodes)
+        for tick in range(n % WARMUP_TICKS, end, BEACON_INTERVAL)
+        if tick >= start
+    )
+
+
+def test_beacon_count_matches_enumeration():
+    draw = random.Random(3)
+    windows = [(0, WARMUP_TICKS), (0, 1), (0, 0), (WARMUP_TICKS, WARMUP_TICKS + 1)]
+    windows += [(t, t + 1) for t in range(0, 3 * BEACON_INTERVAL)]
+    windows += [(WARMUP_TICKS + 7, WARMUP_TICKS + 7 + BEACON_INTERVAL), (13, 1013), (37, 38)]
+    windows += [(a, a + draw.randint(0, 300)) for a in (draw.randint(0, 500) for _ in range(60))]
+    for num_nodes in [1, 4, 9, 10, 11, 25, 99, 400] + [draw.randint(1, 900) for _ in range(8)]:
+        phases = [
+            sum(1 for n in range(num_nodes) if n % WARMUP_TICKS == p) for p in range(WARMUP_TICKS)
+        ]
+        for start, end in windows:
+            got = beacons_before(phases, end) - beacons_before(phases, start)
+            assert got == _beacons_by_enumeration(num_nodes, start, end), (num_nodes, start, end)
+
+
+def test_session_counts_each_beacon_in_the_window_it_falls_in():
+    # A static-only session processes beacons alone: its count after each
+    # step is every beacon tick before that step's end.
+    side, fine_steps = 5, 37
+    scenario = GridScenario.build(side, destination=0)
+    inst = L1Instance("t0-lp0-0", scenario, [L1Entity(1, 3.0, 3.0, "static")], fine_steps)
+    inst._bootstrap()
+    assert inst.counters.events_processed == _beacons_by_enumeration(side * side, 0, WARMUP_TICKS)
+    for t in range(4):
+        _, counters = inst.run_one_coarse_step(t)
+        end = WARMUP_TICKS + (t + 1) * fine_steps
+        assert counters.events_processed == _beacons_by_enumeration(side * side, 0, end)
 
 
 # -- standalone route discovery -------------------------------------------------
@@ -251,10 +342,3 @@ def test_identical_init_gives_identical_reports():
     assert fa == fb
     assert encode(Final(*fa)) == encode(Final(*fb))
 
-
-def test_local_clock_stays_in_unit_interval():
-    inst = _manual_instance((23.0, 20.0))
-    assert inst.local_clock == 0.0
-    for t in range(3):
-        inst.run_one_coarse_step(t)
-        assert 0.0 <= inst.local_clock <= 1.0

@@ -103,6 +103,11 @@ def test_entity_record_rejects_unknown_kind():
         (b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100}\n', "bad-field"),
         (b'{"type":"FINAL","entities":[],"counters":{"rreq":0}}\n', "bad-field"),
         (
+            b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100,'
+            b'"entities":[{"id":-1,"x":0,"y":0,"kind":"mobile"}]}\n',
+            "bad-field",
+        ),
+        (
             b'{"type":"FINAL","entities":[{"id":1,"x":0,"y":0,"kind":"mobile","arrived":true,"hops":true}],'
             b'"counters":{"rreq":0,"rrep":0,"arrivals":0,"events_processed":0}}\n',
             "bad-field",
