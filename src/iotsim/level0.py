@@ -1,18 +1,24 @@
-"""Coarse time-stepped engine: parallel logical processes over world stripes.
+"""Coarse time-stepped engine: logical processes over world stripes.
 
 The world is split into equal vertical stripes, one logical process (LP) per
-stripe, one worker thread per LP.  Each timestep runs in fixed phases:
+stripe, all stepped by one thread.  Each timestep runs in fixed phases:
 
-  (1) deliver the transmissions staged for this step (local and remote alike:
-      every transmission is received exactly one step after it was emitted),
-  (2) per receiver, run cache/relay decisions; stage relayed copies and fresh
-      generations for the next step,
-  (3) step mobility,
-  (4) apply pending reintegrations, then migrate entities whose position
-      crossed a stripe boundary,
-  (5) process this step's spawn triggers: delegate entities and drive each
-      fine-grained session to completion,
-  (6) barrier: no LP enters step t+1 before all finish t.
+  (1) for each LP in id order:
+      - deliver the transmissions staged for this step (local and remote
+        alike: every transmission is received exactly one step after it was
+        emitted); per receiver, run cache/relay decisions; stage relayed
+        copies and fresh generations for the next step,
+      - step mobility,
+      - apply pending reintegrations, then stage for migration the entities
+        whose position crossed a stripe boundary,
+  (2) for each LP, take in the entities migrating into its stripe,
+  (3) process this step's spawn triggers: delegate entities and drive each
+      fine-grained session to completion.  With more than one LP, each LP
+      with triggers runs its sessions on a thread of its own, so sessions of
+      different LPs overlap; all are joined before the step ends.
+
+Running (1) one LP after another is safe: deliver reads only this step's
+inbox and stages into the next step's, and migration out only stages.
 
 Determinism does not depend on the partitioning: in-loop random decisions are
 stateless hashes of (seed, purpose, ids), transmissions are routed to every
@@ -97,6 +103,8 @@ class TimestepReport:
     dropped_delegated: int
     active: int
     delegated: int
+    # Each LP's own work in the step (deliver, mobility, migration, its
+    # sessions), in seconds; no wait on another LP is included.
     lp_wct: tuple[float, ...]
 
 
@@ -134,14 +142,6 @@ class DeliveryAudit:
             self.min_ttl_seen = msg.ttl_remaining
         if self.record_receipts:
             self.receipts.setdefault(msg.msg_id, TallyCounter()).update(receiver_ids)
-
-    def merge(self, other: "DeliveryAudit") -> None:
-        self.max_trace_len = max(self.max_trace_len, other.max_trace_len)
-        if other.min_ttl_seen is not None:
-            if self.min_ttl_seen is None or other.min_ttl_seen < self.min_ttl_seen:
-                self.min_ttl_seen = other.min_ttl_seen
-        for msg_id, tally in other.receipts.items():
-            self.receipts.setdefault(msg_id, TallyCounter()).update(tally)
 
     def receiver_sets(self) -> dict[MsgId, frozenset[int]]:
         return {m: frozenset(t) for m, t in self.receipts.items()}
@@ -199,7 +199,6 @@ class SimEngine:
     ) -> None:
         self.config = config
         self.world = config.make_world()
-        self.record_receipts = record_receipts
         self.keep_transcripts = keep_transcripts
         entities = make_entities(config, self.world)
         self.lps = partition(config, entities, self.world)
@@ -214,26 +213,8 @@ class SimEngine:
             [[[] for _ in range(n)] for _ in range(n)] for _ in range(2)
         ]
         self._migrations: list[list[list[Entity]]] = [[[] for _ in range(n)] for _ in range(n)]
-        self._parts: list[Optional[dict]] = [None] * n
-        self._audits = [DeliveryAudit(record_receipts) for _ in range(n)]
-        self._epochs = [0] * n
-        self._reports: list[TimestepReport] = []
+        self.audit = DeliveryAudit(record_receipts)
         self.session_logs: list[SessionLog] = []
-        self._logs_lock = threading.Lock()
-        self._failure: Optional[BaseException] = None
-        self._failure_lock = threading.Lock()
-        self._b_deliver = threading.Barrier(n)
-        self._b_migrate = threading.Barrier(n)
-        self._b_step = threading.Barrier(n, action=self._end_of_step)
-
-    # -- failure handling ----------------------------------------------------
-
-    def _fail(self, exc: BaseException) -> None:
-        with self._failure_lock:
-            if self._failure is None:
-                self._failure = exc
-        for b in (self._b_deliver, self._b_migrate, self._b_step):
-            b.abort()
 
     # -- step phases ----------------------------------------------------------
 
@@ -324,7 +305,6 @@ class SimEngine:
     ) -> None:
         """Run the receipts of ``batch`` in order, with their coins drawn at once."""
         cfg = self.config
-        audit = self._audits[lp.lp_id]
         counts = [len(hits) for _, _, hits, _, _ in batch]
         coins = rng.unit_uniforms(
             (cfg.seed, rng.FORWARD),
@@ -350,7 +330,7 @@ class SimEngine:
                     part["forwarded"] += 1
                     outgoing.append((copy, rid, entity.x, entity.y))
             if received:
-                audit.record(msg, received)
+                self.audit.record(msg, received)
 
     def _phase_mobility(self, lp: LogicalProcess) -> None:
         cfg = self.config
@@ -434,7 +414,9 @@ class SimEngine:
             entities=records,
         )
 
-    def _run_session(self, lp: LogicalProcess, trigger: SpawnTrigger, t: int, index: int) -> None:
+    def _run_session(
+        self, lp: LogicalProcess, trigger: SpawnTrigger, t: int, index: int
+    ) -> SessionLog:
         instance_id = f"t{t}-lp{lp.lp_id}-{index}"
         chosen = self.delegate_entities(lp, trigger)
         init = self._session_init(lp, chosen, instance_id, t, index)
@@ -456,7 +438,7 @@ class SimEngine:
                     f"L1 session {instance_id} returned unknown entity {record.id}"
                 )
             lp.pending_reint.append((entity, record))
-        log = SessionLog(
+        return SessionLog(
             instance_id=instance_id,
             lp_id=lp.lp_id,
             at_timestep=t,
@@ -467,105 +449,93 @@ class SimEngine:
             child_peak_rss=child_rss,
             transcript=transcript,
         )
-        with self._logs_lock:
-            self.session_logs.append(log)
 
-    def _phase_sessions(self, lp: LogicalProcess, t: int) -> None:
-        for index, trigger in enumerate(self.triggers.get((t, lp.lp_id), ())):
+    def _phase_sessions(self, lp: LogicalProcess, t: int) -> list[SessionLog]:
+        return [
             self._run_session(lp, trigger, t, index)
+            for index, trigger in enumerate(self.triggers[(t, lp.lp_id)])
+        ]
 
     # -- step driver ------------------------------------------------------------
 
-    def _lp_step(self, lp: LogicalProcess, t: int) -> None:
-        step_start = time.perf_counter()
-        self._epochs[lp.lp_id] = t
-        part = {
-            "generated": 0,
-            "forwarded": 0,
-            "delivered": 0,
-            "duplicates": 0,
-            "dropped_delegated": 0,
-        }
+    def _lp_step(self, lp: LogicalProcess, t: int, part: dict) -> None:
+        """One LP's deliver, mobility and migration out, counted into ``part``."""
         self._phase_deliver(lp, t, part)
-        self._b_deliver.wait()
         self._phase_mobility(lp)
         self._phase_migrate_out(lp)
-        self._b_migrate.wait()
-        self._phase_migrate_in(lp)
-        self._phase_sessions(lp, t)
-        part["active"] = len(lp.entities)
-        part["delegated"] = len(lp.delegated)
-        part["timestep"] = t
-        part["wct"] = time.perf_counter() - step_start
-        self._parts[lp.lp_id] = part
-        self._b_step.wait()
 
-    def _end_of_step(self) -> None:
-        # Runs in exactly one worker while the rest hold at the step barrier.
-        parts = self._parts
-        epochs = set(self._epochs)
-        if len(epochs) != 1:
-            raise SimulationError(f"barrier epoch mismatch: {self._epochs}")
-        t = parts[0]["timestep"]
+    def _step_sessions(self, t: int, lp_wct: list[float]) -> None:
+        """Run step ``t``'s sessions: here for one LP, else on one thread per busy LP."""
+        busy = [lp for lp in self.lps if (t, lp.lp_id) in self.triggers]
+        outcomes: dict[int, object] = {}
+
+        def sessions(lp: LogicalProcess) -> None:
+            start = time.perf_counter()
+            try:
+                outcomes[lp.lp_id] = self._phase_sessions(lp, t)
+            except BaseException as exc:  # noqa: BLE001 - re-raised after the join
+                outcomes[lp.lp_id] = exc
+            lp_wct[lp.lp_id] += time.perf_counter() - start
+
+        if self.config.num_lps == 1:
+            for lp in busy:
+                sessions(lp)
+        else:
+            threads = [
+                threading.Thread(target=sessions, args=(lp,), name=f"lp{lp.lp_id}") for lp in busy
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        # Logs in trigger order (t, lp, index), not in the order sessions
+        # finished; the lowest-numbered failing LP's error wins.
+        for lp in busy:
+            outcome = outcomes[lp.lp_id]
+            if isinstance(outcome, BaseException):
+                raise outcome
+            self.session_logs.extend(outcome)
+
+    def advance_timestep(self, t: int) -> TimestepReport:
+        """Run step ``t`` on every LP and return its report."""
+        counts = ("generated", "forwarded", "delivered", "duplicates", "dropped_delegated")
+        part = dict.fromkeys(counts, 0)
+        lp_wct = [0.0] * len(self.lps)
+        for lp in self.lps:
+            start = time.perf_counter()
+            self._lp_step(lp, t, part)
+            lp_wct[lp.lp_id] = time.perf_counter() - start
+        for lp in self.lps:
+            start = time.perf_counter()
+            self._phase_migrate_in(lp)
+            lp_wct[lp.lp_id] += time.perf_counter() - start
+        self._step_sessions(t, lp_wct)
+
         report = TimestepReport(
             timestep=t,
-            generated=sum(p["generated"] for p in parts),
-            forwarded=sum(p["forwarded"] for p in parts),
-            delivered=sum(p["delivered"] for p in parts),
-            duplicates=sum(p["duplicates"] for p in parts),
-            dropped_delegated=sum(p["dropped_delegated"] for p in parts),
-            active=sum(p["active"] for p in parts),
-            delegated=sum(p["delegated"] for p in parts),
-            lp_wct=tuple(p["wct"] for p in parts),
+            **part,
+            active=sum(len(lp.entities) for lp in self.lps),
+            delegated=sum(len(lp.delegated) for lp in self.lps),
+            lp_wct=tuple(lp_wct),
         )
         if report.active + report.delegated != self.config.num_ses:
             raise SimulationError(
                 f"conservation broken at t={t}: {report.active} active "
                 f"+ {report.delegated} delegated != {self.config.num_ses}"
             )
-        self._reports.append(report)
-
-    def _worker(self, lp: LogicalProcess) -> None:
-        try:
-            for t in range(self.config.total_timesteps):
-                self._lp_step(lp, t)
-            # A trigger on the last step leaves reintegrations pending; apply
-            # them so the final state is whole (the sessions did complete).
-            self._reintegrate(lp)
-        except threading.BrokenBarrierError:
-            return
-        except BaseException as exc:  # noqa: BLE001 - must surface on the main thread
-            self._fail(exc)
-            return
-
-    def advance_timestep(self, t: int) -> TimestepReport:
-        """Single-LP stepwise driver (unit tests and interactive probing)."""
-        if self.config.num_lps != 1:
-            raise SimulationError("stepwise driving requires num_lps == 1")
-        self._lp_step(self.lps[0], t)
-        if self._failure is not None:
-            raise SimulationError(str(self._failure)) from self._failure
-        return self._reports[-1]
+        return report
 
     def run(self) -> RunResult:
         start = time.perf_counter()
-        if self.config.num_lps == 1:
-            self._worker(self.lps[0])
-        else:
-            threads = [
-                threading.Thread(target=self._worker, args=(lp,), name=f"lp{lp.lp_id}")
-                for lp in self.lps
-            ]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-        if self._failure is not None:
-            raise SimulationError(f"run aborted: {self._failure}") from self._failure
+        try:
+            reports = [self.advance_timestep(t) for t in range(self.config.total_timesteps)]
+            # A trigger on the last step leaves reintegrations pending; apply
+            # them so the final state is whole (the sessions did complete).
+            for lp in self.lps:
+                self._reintegrate(lp)
+        except Exception as exc:
+            raise SimulationError(f"run aborted: {exc}") from exc
 
-        audit = DeliveryAudit(self.record_receipts)
-        for part in self._audits:
-            audit.merge(part)
         entities: dict[int, Entity] = {}
         for lp in self.lps:
             entities.update(lp.entities)
@@ -573,9 +543,9 @@ class SimEngine:
         return RunResult(
             config=self.config,
             entities=entities,
-            reports=self._reports,
+            reports=reports,
             session_logs=self.session_logs,
-            audit=audit,
+            audit=self.audit,
             total_wct=time.perf_counter() - start,
         )
 

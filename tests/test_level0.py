@@ -2,8 +2,11 @@
 
 import io
 import subprocess
+import threading
+from dataclasses import replace
 
 import pytest
+from test_fingerprint_pin import PINS
 
 import iotsim.level0 as level0
 import iotsim.level1 as level1
@@ -110,10 +113,26 @@ def test_fingerprint_is_reproducible_and_seed_sensitive():
     assert a != c
 
 
-def test_stepwise_driver_requires_single_stripe():
-    engine = SimEngine(_tiny_config(num_lps=2))
-    with pytest.raises(SimulationError):
-        engine.advance_timestep(0)
+@pytest.mark.parametrize("num_lps", [2, 4])
+def test_stepwise_driver_matches_run_for_any_stripe_count(num_lps):
+    cfg = SimConfig(
+        num_ses=120,
+        num_lps=num_lps,
+        total_timesteps=6,
+        generation_prob=0.05,
+        # Every LP has a session at t=1, so that many session threads overlap.
+        l1_schedule=(*(SpawnTrigger(1, lp, 2) for lp in range(num_lps)), SpawnTrigger(3, 1, 3)),
+        l1_fine_steps_per_timestep=50,
+        l1_transport="loopback",
+        seed=31,
+    )
+    engine = SimEngine(cfg)
+    stepped = [engine.advance_timestep(t) for t in range(cfg.total_timesteps)]
+    assert [len(r.lp_wct) for r in stepped] == [num_lps] * cfg.total_timesteps
+    assert stepped[1].delegated == 2 * num_lps and len(engine.session_logs) == num_lps + 1
+    # Everything but the timings.
+    run = run_simulation(cfg).reports
+    assert [replace(r, lp_wct=()) for r in stepped] == [replace(r, lp_wct=()) for r in run]
 
 
 # -- delegation lifecycle ---------------------------------------------------------
@@ -209,6 +228,34 @@ def test_conservation_reported_every_step():
     assert len(result.session_logs) == 2
 
 
+def test_session_logs_come_in_trigger_order():
+    # Two sessions run at once at t=2, one per LP; whichever finishes first,
+    # the logs keep the order (t, lp, index).
+    config = PINS[-1][0].with_updates(l1_transport="loopback")
+    for _ in range(5):
+        result = run_simulation(config)
+        ids = [log.instance_id for log in result.session_logs]
+        assert ids == ["t2-lp0-0", "t2-lp1-0", "t5-lp0-0"]
+
+
+@pytest.mark.parametrize("num_lps", [1, 2])
+def test_session_time_is_within_its_lp_step_time(num_lps):
+    cfg = SimConfig(
+        num_ses=120,
+        num_lps=num_lps,
+        total_timesteps=4,
+        generation_prob=0.05,
+        l1_schedule=(SpawnTrigger(1, 0, 2), SpawnTrigger(1, num_lps - 1, 3), SpawnTrigger(2, 0, 2)),
+        l1_fine_steps_per_timestep=200,
+        l1_transport="loopback",
+        seed=12,
+    )
+    result = run_simulation(cfg)
+    assert len(result.session_logs) == 3
+    for log in result.session_logs:
+        assert 0 < log.wct <= result.reports[log.at_timestep].lp_wct[log.lp_id]
+
+
 # -- failure paths ----------------------------------------------------------------
 
 
@@ -242,6 +289,34 @@ def test_session_failure_aborts_run_with_instance_name(monkeypatch):
     )
     with pytest.raises(SimulationError, match="t0-lp0-0"):
         run_simulation(cfg)
+
+
+@pytest.mark.parametrize(
+    "failing,culprit", [(("lp1",), "t2-lp1-0"), (("lp0", "lp1"), "t2-lp0-0")], ids=["lp1", "both"]
+)
+def test_concurrent_session_failure_waits_for_every_session(monkeypatch, failing, culprit):
+    healthy = level1.make_handlers
+
+    def flaky(init):
+        if init.instance_id.split("-")[1] in failing:
+            raise RuntimeError("instance refused to start")
+        return healthy(init)
+
+    monkeypatch.setattr(level1, "make_handlers", flaky)
+    cfg = SimConfig(
+        num_ses=120,
+        num_lps=2,
+        total_timesteps=4,
+        generation_prob=0.05,
+        l1_schedule=(SpawnTrigger(2, 0, 2), SpawnTrigger(2, 1, 2)),
+        l1_fine_steps_per_timestep=200,
+        l1_transport="loopback",
+        seed=23,
+    )
+    # The lowest-numbered failing LP's error is raised, once all have joined.
+    with pytest.raises(SimulationError, match=f"run aborted: L1 session {culprit} failed"):
+        run_simulation(cfg)
+    assert [th.name for th in threading.enumerate() if th.name.startswith(("lp", "l1-"))] == []
 
 
 def _fake_session_run(monkeypatch, finalize_records, at_timestep=0):
@@ -415,14 +490,6 @@ def test_audit_tracks_extremes_and_duplicates():
     assert audit.min_ttl_seen == 1
     assert audit.receiver_sets() == {(1, 0): frozenset({5, 6, 7}), (2, 0): frozenset({5})}
     assert audit.duplicate_deliveries() == 1
-
-    other = DeliveryAudit(record_receipts=True)
-    other.record(_dummy_msg(1, 0, 0, (1, 5, 6, 7)), [9])
-    audit.merge(other)
-    assert audit.max_trace_len == 4
-    assert audit.min_ttl_seen == 0
-    assert audit.duplicate_deliveries() == 1
-    assert audit.receiver_sets()[(1, 0)] == frozenset({5, 6, 7, 9})
 
 
 def test_tallied_receipts_equal_delivered_plus_duplicates():
