@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    # The same server the engine spawns as ``python -m iotsim.level1``.
+    # The same serve_tcp each session child of the engine's template runs.
     p_srv = sub.add_parser("l1-server", help="serve one fine-grained session over TCP")
     add_server_flags(p_srv)
     p_srv.set_defaults(func=serve_from_args)

@@ -29,13 +29,16 @@ in a canonical order.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .model import (
     make_entities,
 )
 from .protocol import (
+    DEFAULT_TIMEOUT,
     Counters,
     EntityRecord,
     Init,
@@ -215,6 +219,8 @@ class SimEngine:
         self._migrations: list[list[list[Entity]]] = [[[] for _ in range(n)] for _ in range(n)]
         self.audit = DeliveryAudit(record_receipts)
         self.session_logs: list[SessionLog] = []
+        # The TCP session template; run() owns it.
+        self._template: Optional[SessionTemplate] = None
 
     # -- step phases ----------------------------------------------------------
 
@@ -425,8 +431,10 @@ class SimEngine:
         try:
             if self.config.l1_transport == "loopback":
                 final, child_rss = _drive_loopback(init, t, transcript)
+            elif self._template is None:
+                raise SimulationError("TCP sessions run only inside run(), which starts their template")
             else:
-                final, child_rss = _drive_subprocess(init, t, transcript)
+                final, child_rss = _drive_subprocess(init, t, transcript, self._template)
         except Exception as exc:
             raise SimulationError(f"L1 session {instance_id} failed: {exc}") from exc
         ended = time.perf_counter()
@@ -528,6 +536,9 @@ class SimEngine:
     def run(self) -> RunResult:
         start = time.perf_counter()
         try:
+            # Here, not in __init__: an engine that never runs starts no process.
+            if self.config.l1_transport == "tcp" and self.triggers:
+                self._template = SessionTemplate()
             reports = [self.advance_timestep(t) for t in range(self.config.total_timesteps)]
             # A trigger on the last step leaves reintegrations pending; apply
             # them so the final state is whole (the sessions did complete).
@@ -535,6 +546,10 @@ class SimEngine:
                 self._reintegrate(lp)
         except Exception as exc:
             raise SimulationError(f"run aborted: {exc}") from exc
+        finally:
+            if self._template is not None:
+                self._template.close()
+                self._template = None
 
         entities: dict[int, Entity] = {}
         for lp in self.lps:
@@ -591,36 +606,111 @@ def _drive_loopback(init: Init, t: int, transcript):
     return final, None
 
 
-def _drive_subprocess(init: Init, t: int, transcript):
-    # The lean entry: the child loads level1, the protocol and rng, not this module.
-    cmd = [sys.executable, "-m", "iotsim.level1", "--port", "0", "--instance-id", init.instance_id]
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+class SessionTemplate:
+    """The run's ``python -m iotsim.level1``: it forks one child per TCP session.
+
+    The template imports the fine level once, so a session costs a fork, not
+    an interpreter start.  Requests go over a SOCK_SEQPACKET socket pair whose
+    other end is the template's stdin; each carries one end of a fresh socket
+    pair, on which the child reports (see ``level1.serve_forks``).  The
+    engine itself never forks: it holds threads and numpy.
+    """
+
+    def __init__(self) -> None:
+        self._control, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with theirs:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "iotsim.level1"], stdin=theirs, stdout=subprocess.DEVNULL
+            )
+
+    def start(self, instance_id: str) -> tuple[int, int, TextIO]:
+        """Fork a child to serve ``instance_id`` and wait until it listens.
+
+        Returns the child's pid, its TCP port and the reader of its remaining
+        report lines.
+        """
+        ours, theirs = socket.socketpair()
+        with theirs:
+            try:
+                socket.send_fds(self._control, [instance_id.encode()], [theirs.fileno()])
+            except OSError as exc:
+                ours.close()
+                raise SimulationError(f"the session template is gone: {exc}") from None
+        ours.settimeout(DEFAULT_TIMEOUT)
+        reports = ours.makefile("r", encoding="utf-8", errors="replace")
+        ours.close()  # the reader keeps the socket open
+        pid: Optional[int] = None
+        try:
+            lines = _report_lines(reports, "did not report a port")
+            first = next(lines, "")
+            if not first.startswith("PID="):
+                raise SimulationError(f"instance did not start: {first}")
+            pid = int(first[4:])
+            text = []
+            for line in lines:
+                if line.startswith("PORT="):
+                    return pid, int(line[5:]), reports
+                text.append(line)
+            raise SimulationError("instance did not report a port: " + "\n".join(text))
+        except BaseException:
+            _kill(pid)
+            reports.close()
+            raise
+
+    def close(self) -> None:
+        """EOF on the control socket: the template kills and reaps what is left, then exits."""
+        self._control.close()
+        try:
+            self.proc.wait(timeout=DEFAULT_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+def _report_lines(reports: TextIO, waiting_for: str):
+    """A session child's report lines, to EOF; silence for DEFAULT_TIMEOUT raises."""
+    while True:
+        try:
+            line = reports.readline()
+        except socket.timeout:
+            raise SimulationError(f"instance {waiting_for} within {DEFAULT_TIMEOUT:g} s") from None
+        if not line:
+            return
+        yield line.rstrip("\n")
+
+
+def _kill(pid: Optional[int]) -> None:
+    """SIGKILL a session child; its parent, the template, reaps it."""
+    if pid is not None:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _drive_subprocess(init: Init, t: int, transcript, template: SessionTemplate):
+    pid, port, reports = template.start(init.instance_id)
     transport: Optional[Transport] = None
     try:
-        line = proc.stdout.readline()
-        if not line.startswith("PORT="):
-            err = proc.stderr.read() if proc.stderr else ""
-            raise SimulationError(f"instance did not report a port: {line!r} {err.strip()}")
-        port = int(line.strip().split("=", 1)[1])
         transport = connect_tcp(port, transcript=transcript)
         final = _drive_session(SessionClient(transport), init, t)
+        lines = list(_report_lines(reports, "did not exit after its FINAL"))
     except BaseException:
-        proc.kill()
-        proc.communicate()
+        _kill(pid)
         raise
     finally:
         if transport is not None:
             transport.close()
-    try:
-        out, err = proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise SimulationError("instance did not exit within 30 s of its FINAL") from None
-    if proc.returncode != 0:
-        raise SimulationError(f"instance exited with {proc.returncode}: {err.strip()}")
-    child_rss = None
-    for out_line in out.splitlines():
-        if out_line.startswith("VMHWM="):
-            child_rss = int(out_line.split("=", 1)[1])
+        reports.close()
+    status, child_rss, text = None, None, []
+    for line in lines:
+        key, _, value = line.partition("=")
+        if key == "EXIT":
+            status = value
+        elif key == "VMHWM":
+            child_rss = int(value)
+        else:
+            text.append(line)
+    if status != "0":
+        raise SimulationError(f"instance exited with {status or 'no status'}: " + "\n".join(text))
     return final, child_rss

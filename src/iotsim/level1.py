@@ -7,10 +7,10 @@ path with its position, and the entity then walks toward it.  Time is an
 integer count of fine ticks; ``fine_steps`` ticks make up one coarse timestep
 of the driving simulation.
 
-``python -m iotsim.level1 --port 0 --instance-id ID`` serves one instance
-over TCP; it is the child the coarse engine spawns for each TCP session.  It
-loads only this module, the protocol and the scalar hash (no numpy, no coarse
-engine), so a session pays for a small interpreter start.
+``python -m iotsim.level1`` is the session template the coarse engine starts
+once per TCP run (see ``serve_forks``): it loads only this module, the
+protocol and the scalar hash (no numpy, no coarse engine), then forks one
+child per session, so a session pays for a fork, not an interpreter start.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
+import signal
+import socket
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -36,6 +40,8 @@ ARRIVAL_RADIUS = 1.0
 QUERY_RETRY_TICKS = 50
 QUERY_RETRY_LIMIT = 8
 QUEUE_LIMIT = 1_000_000
+# How long a session server waits for the engine to connect, in seconds.
+ACCEPT_TIMEOUT = 60.0
 
 
 class SchedulingError(RuntimeError):
@@ -458,19 +464,90 @@ def add_server_flags(parser) -> None:
     """The TCP server's flags, on an ``argparse`` parser."""
     parser.add_argument("--port", type=int, default=0, help="listen port (0 = ephemeral)")
     parser.add_argument("--instance-id", default=None, help="expected instance id")
-    parser.add_argument("--accept-timeout", type=float, default=60.0)
+    parser.add_argument("--accept-timeout", type=float, default=ACCEPT_TIMEOUT)
 
 
 def serve_from_args(args) -> int:
     return serve_tcp(make_handlers, args.port, args.instance_id, args.accept_timeout)
 
 
-if __name__ == "__main__":
-    import argparse
-    import sys
+# -- the session template ------------------------------------------------------
 
-    parser = argparse.ArgumentParser(
-        prog="python -m iotsim.level1", description="Serve one fine-grained session over TCP."
-    )
-    add_server_flags(parser)
-    sys.exit(serve_from_args(parser.parse_args()))
+
+def serve_forks(control: socket.socket) -> None:
+    """The session template: fork one child per request on ``control``.
+
+    A request is one message on a SOCK_SEQPACKET socket: the instance id,
+    carrying one file descriptor, the child's report channel.  The child
+    writes ``PID=<pid>`` there, serves the session with ``serve_tcp`` with
+    the channel as its stdout and stderr (``PORT=``, error text, ``VMHWM=``),
+    writes ``EXIT=<status>`` and ends with ``os._exit``.  At EOF on
+    ``control`` (the engine closed it, or died) every child still running is
+    killed, and all are reaped before this returns.  Call it from a process
+    with one thread: it forks.
+    """
+    children: set[int] = set()
+    try:
+        while True:
+            request, fds, _, _ = socket.recv_fds(control, 1024, 1)
+            if not request:
+                return
+            (channel,) = fds
+            # Reap finished children, so zombies never pile up over a long run.
+            children -= {pid for pid in children if os.waitpid(pid, os.WNOHANG)[0]}
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.write(channel, f"fork failed: {exc}\n".encode())
+                os.close(channel)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    control.close()
+                    status = _serve_child(channel, request.decode())
+                finally:
+                    # Never unwind into this loop: the child is not a template.
+                    os._exit(status)
+            os.close(channel)
+            children.add(pid)
+    finally:
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in children:
+            os.waitpid(pid, 0)
+
+
+def _serve_child(channel: int, instance_id: str) -> int:
+    """One forked child's session, reported on ``channel``; returns its exit status."""
+    os.dup2(channel, 1)
+    os.dup2(channel, 2)
+    os.close(channel)
+    print(f"PID={os.getpid()}", flush=True)
+    status = 1
+    try:
+        status = serve_tcp(make_handlers, 0, instance_id, ACCEPT_TIMEOUT)
+    except Exception:  # noqa: BLE001 - reported to the engine on the channel
+        import traceback
+
+        traceback.print_exc()
+    print(f"EXIT={status}", flush=True)
+    sys.stderr.flush()
+    return status
+
+
+def main() -> None:
+    """The template's entry: the engine hands over the control socket as stdin."""
+    # An ignored SIGCHLD, inherited across exec, would reap children behind our back.
+    signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+    serve_forks(socket.socket(fileno=sys.stdin.fileno()))
+    # Every child is reaped and nothing is buffered; interpreter teardown would
+    # only make the engine wait.
+    os._exit(0)
+
+
+if __name__ == "__main__":
+    main()

@@ -3,9 +3,9 @@
 The first two digests were recorded before the option-grammar and
 reintegration refactors, the quick-start one from the engine that drew every
 coin with the scalar ``rng.unit_uniform``, before the array kernel replaced
-those draws, and the TCP one from the engine that spawned its session child
-as ``python -m iotsim l1-server``.  A change that alters them on purpose must
-say so and re-pin.
+those draws, and the TCP one from the engine that started a fresh
+interpreter for every session child, before one template process forked
+them.  A change that alters them on purpose must say so and re-pin.
 
 ``RunResult.fingerprint()`` holds no session counters, so the transcript pins
 below cover them: the sha256 of every loopback line, both directions, of

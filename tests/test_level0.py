@@ -1,8 +1,9 @@
 """Coarse engine: partitioning, delivery, delegation, and failure paths."""
 
-import io
+import os
 import subprocess
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -370,73 +371,146 @@ def test_final_repeating_an_id_aborts_run_with_instance_name(monkeypatch):
         _fake_session_run(monkeypatch, repeated)
 
 
-def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
-    children = []
+# -- the TCP session template ---------------------------------------------------------
 
-    class StuckChild:
-        """Reports its port, then outlives every wait until it is killed."""
 
-        def __init__(self, cmd, **kwargs):
-            self.stdout = io.StringIO("PORT=1\n")
-            self.stderr = io.StringIO()
-            self.returncode = None
-            self.killed = self.reaped = False
-            children.append(self)
+def _watch_template(monkeypatch, prelude=None):
+    """Record the run's session template and every child pid it reports.
 
-        def kill(self):
-            self.killed = True
+    With ``prelude``, the template runs as ``python -c``: the prelude (which
+    may patch ``level1``), then the template loop.
+    """
+    seen = {"templates": [], "pids": []}
+    real_popen = subprocess.Popen
+    real_start = level0.SessionTemplate.start
 
-        def communicate(self, timeout=None):
-            if not self.killed:
-                raise subprocess.TimeoutExpired("l1-server", timeout)
-            self.reaped = True
-            self.returncode = -9
-            return "", ""
+    def popen(cmd, **kwargs):
+        if prelude is not None:
+            cmd = [cmd[0], "-c", f"import iotsim.level1 as level1\n{prelude}\nlevel1.main()"]
+        proc = real_popen(cmd, **kwargs)
+        seen["templates"].append(proc)
+        return proc
 
-    class NullTransport:
-        def close(self):
-            pass
+    def start(self, instance_id):
+        pid, port, reports = real_start(self, instance_id)
+        seen["pids"].append(pid)
+        return pid, port, reports
 
-    monkeypatch.setattr(subprocess, "Popen", StuckChild)
-    monkeypatch.setattr(level0, "connect_tcp", lambda port, transcript=None: NullTransport())
-    monkeypatch.setattr(level0, "_drive_session", lambda client, init, t: None)
-    cfg = SimConfig(
-        num_ses=6,
-        density=6e-4,
-        total_timesteps=2,
-        generation_prob=0.0,
-        l1_schedule=(SpawnTrigger(0, 0, 2),),
-        l1_transport="tcp",
-        seed=3,
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(level0.SessionTemplate, "start", start)
+    return seen
+
+
+def _gone(pid):
+    """True once ``pid`` is neither running nor a zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+_TCP_RUN = SimConfig(
+    num_ses=6,
+    density=6e-4,
+    total_timesteps=2,
+    generation_prob=0.0,
+    l1_schedule=(SpawnTrigger(0, 0, 2),),
+    l1_fine_steps_per_timestep=50,
+    l1_transport="tcp",
+    seed=3,
+)
+
+def test_tcp_sessions_start_their_template_only_inside_run(monkeypatch):
+    seen = _watch_template(monkeypatch)
+    engine = SimEngine(_TCP_RUN)
+    assert seen["templates"] == []
+    with pytest.raises(SimulationError, match="only inside run"):
+        engine.advance_timestep(0)
+    assert seen["templates"] == []
+
+
+_REPEATED_ID = """
+from iotsim.protocol import InstanceHandlers
+healthy = level1.make_handlers
+def make_handlers(init):
+    handlers = healthy(init)
+    def finalize():
+        entities, counters = handlers.finalize()
+        return entities + entities[:1], counters
+    return InstanceHandlers(handlers.run_step, finalize)
+level1.make_handlers = make_handlers
+"""
+
+
+@pytest.mark.parametrize("outcome", ["completes", "aborts"])
+def test_nothing_outlives_a_tcp_run(monkeypatch, outcome):
+    seen = _watch_template(monkeypatch, _REPEATED_ID if outcome == "aborts" else None)
+    # Two LPs with sessions at the same step: concurrent requests to one template.
+    cfg = replace(
+        _TCP_RUN,
+        num_ses=40,
+        density=1e-3,
+        num_lps=2,
+        total_timesteps=3,
+        l1_schedule=(SpawnTrigger(1, 0, 2), SpawnTrigger(1, 1, 2)),
     )
+    started = time.perf_counter()
+    if outcome == "completes":
+        assert len(run_simulation(cfg).session_logs) == 2
+    else:
+        with pytest.raises(SimulationError, match="t1-lp0-0.*entity-mismatch"):
+            run_simulation(cfg)
+        assert time.perf_counter() - started < 5.0
+    (template,) = seen["templates"]
+    assert template.returncode is not None
+    assert len(seen["pids"]) == 2 and all(_gone(pid) for pid in seen["pids"])
+
+
+def test_child_that_never_reports_a_port_is_given_up(monkeypatch):
+    seen = _watch_template(
+        monkeypatch, "import time\nlevel1.serve_tcp = lambda *args: time.sleep(60)"
+    )
+    monkeypatch.setattr(level0, "DEFAULT_TIMEOUT", 0.5)
+    started = time.perf_counter()
+    with pytest.raises(SimulationError, match="t0-lp0-0.*did not report a port within 0.5 s"):
+        run_simulation(_TCP_RUN)
+    assert time.perf_counter() - started < 5.0
+    (template,) = seen["templates"]
+    assert template.returncode is not None
+
+
+_STUCK_AFTER_FINAL = """
+import time
+served = level1.serve_tcp
+def serve_tcp(*args):
+    status = served(*args)
+    time.sleep(60)
+    return status
+level1.serve_tcp = serve_tcp
+"""
+
+
+def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
+    seen = _watch_template(monkeypatch, _STUCK_AFTER_FINAL)
+    monkeypatch.setattr(level0, "DEFAULT_TIMEOUT", 1.0)
     with pytest.raises(SimulationError, match="t0-lp0-0.*did not exit"):
-        run_simulation(cfg)
-    (child,) = children
-    assert child.killed and child.reaped
-
-
-# -- the TCP session child ------------------------------------------------------------
+        run_simulation(_TCP_RUN)
+    # It would sleep for a minute: gone now means killed, and not a zombie means reaped.
+    (pid,) = seen["pids"]
+    assert _gone(pid)
 
 
 def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
-    children = []
+    templates = []
 
     class ImportTimed(subprocess.Popen):
-        """The engine's own command under ``-X importtime``: the child lists
-        on stderr every module it imports, whenever it imports it."""
+        """The engine's template command under ``-X importtime``: it lists on
+        stderr every module it imports, and its children are its forks."""
 
         def __init__(self, cmd, **kwargs):
-            super().__init__([cmd[0], "-X", "importtime", *cmd[1:]], **kwargs)
-            children.append(self)
-
-        def communicate(self, *args, **kwargs):
-            out, err = super().communicate(*args, **kwargs)
-            self.imports = {
-                line.rsplit("|", 1)[1].strip()
-                for line in err.splitlines()
-                if line.startswith("import time:")
-            }
-            return out, err
+            super().__init__([cmd[0], "-X", "importtime", *cmd[1:]], stderr=subprocess.PIPE, text=True, **kwargs)
+            templates.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", ImportTimed)
     cfg = SimConfig(
@@ -449,12 +523,18 @@ def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
         seed=4,
     )
     result = run_simulation(cfg)
-    (child,) = children
-    assert child.returncode == 0
+    (template,) = templates
+    assert template.returncode == 0
     assert result.session_logs[0].child_peak_rss > 0
-    assert "iotsim.protocol" in child.imports  # the listing was read
+    imports = {
+        line.rsplit("|", 1)[1].strip()
+        for line in template.stderr.read().splitlines()
+        if line.startswith("import time:")
+    }
+    template.stderr.close()
+    assert "iotsim.protocol" in imports  # the listing was read
     coarse = {"numpy", "iotsim.level0", "iotsim.bench", "iotsim.config", "iotsim.world", "iotsim.cli"}
-    assert not coarse & child.imports
+    assert not coarse & imports
 
 
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---
