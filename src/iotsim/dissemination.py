@@ -3,13 +3,13 @@
 A message spreads by gossip: every receiver that (a) has not seen the message,
 (b) is far enough from the transmitter, and (c) wins a coin flip re-broadcasts
 a copy with one less hop to live.  Near receivers stay quiet because the
-transmitter already covered their surroundings.
+transmitter already covered their surroundings.  A message in flight is its
+id and its remaining hop budget; nothing else about it decides anything.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import SimConfig
@@ -52,25 +52,9 @@ class MessageCache:
         return len(self._entries)
 
 
-@dataclass(frozen=True, slots=True)
-class DisseminationMessage:
-    msg_id: MsgId
-    origin: int
-    created_at: int
-    ttl_remaining: int
-    # Ids that transmitted this copy, origin first; length == hops traveled.
-    hop_trace: tuple[int, ...] = ()
-
-
-def generate_message(origin_id: int, seq: int, now: int, config: SimConfig) -> DisseminationMessage:
-    """New message as broadcast by its origin (the origin is hop zero)."""
-    return DisseminationMessage(
-        msg_id=(origin_id, seq),
-        origin=origin_id,
-        created_at=now,
-        ttl_remaining=config.ttl,
-        hop_trace=(origin_id,),
-    )
+def generate_message(origin_id: int, seq: int, config: SimConfig) -> tuple[MsgId, int]:
+    """New message as broadcast by its origin: its id and its full hop budget."""
+    return (origin_id, seq), config.ttl
 
 
 def should_forward(
@@ -91,31 +75,22 @@ def should_forward(
     )
 
 
-def relayed_copy(message: DisseminationMessage, relay_id: int) -> DisseminationMessage:
-    return DisseminationMessage(
-        message.msg_id,
-        message.origin,
-        message.created_at,
-        message.ttl_remaining - 1,
-        message.hop_trace + (relay_id,),
-    )
-
-
 def relay_step(
     cache: MessageCache,
-    relay_id: int,
-    message: DisseminationMessage,
+    msg_id: MsgId,
+    ttl_remaining: int,
     sender_distance: float,
     random_draw: float,
     config: SimConfig,
-) -> tuple[bool, Optional[DisseminationMessage]]:
+) -> tuple[bool, bool]:
     """Full receiver-side handling of one incoming copy.
 
-    Returns (duplicate, relayed copy or None); a copy that is not a
-    duplicate is delivered.  The cache is touched exactly once (the forward
-    gate reuses the lookup), so an LRU cache observes each receipt in order.
+    Returns (duplicate, forward); a copy that is not a duplicate is
+    delivered, and a forwarded copy travels on with ``ttl_remaining - 1``.
+    The cache is touched exactly once (the forward gate reuses the lookup),
+    so an LRU cache observes each receipt in order.
     """
-    hit = cache.touch(message.msg_id)
-    if should_forward(message.ttl_remaining, hit, sender_distance, random_draw, config):
-        return False, relayed_copy(message, relay_id)
-    return hit, None
+    hit = cache.touch(msg_id)
+    if should_forward(ttl_remaining, hit, sender_distance, random_draw, config):
+        return False, True
+    return hit, False

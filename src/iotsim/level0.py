@@ -38,20 +38,16 @@ import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, TextIO
 
 import numpy as np
 
 from . import rng
 from .config import SimConfig, SpawnTrigger
-from .dissemination import DisseminationMessage, MsgId, generate_message, relay_step
+from .dissemination import MsgId, generate_message, relay_step
 from .mobility import rwp_step
-from .model import (
-    Entity,
-    STATUS_ACTIVE,
-    STATUS_DELEGATED,
-    make_entities,
-)
+from .model import Entity, make_entities
 from .protocol import (
     DEFAULT_TIMEOUT,
     Counters,
@@ -60,6 +56,7 @@ from .protocol import (
     ProtocolError,
     SessionClient,
     Transport,
+    TransportClosed,
     connect_tcp,
     loopback_pair,
     serve_session,
@@ -132,20 +129,23 @@ class SessionLog:
 class DeliveryAudit:
     """Receipt-level bookkeeping: hop-budget extremes, optional full tallies."""
 
-    def __init__(self, record_receipts: bool = False) -> None:
+    def __init__(self, ttl: int, record_receipts: bool = False) -> None:
+        self.ttl = ttl
         self.record_receipts = record_receipts
-        self.max_trace_len = 0
         self.min_ttl_seen: Optional[int] = None
         self.receipts: dict[MsgId, TallyCounter] = {}
 
-    def record(self, msg: DisseminationMessage, receiver_ids: list[int]) -> None:
-        """One transmission of ``msg`` received by each of ``receiver_ids``."""
-        if len(msg.hop_trace) > self.max_trace_len:
-            self.max_trace_len = len(msg.hop_trace)
-        if self.min_ttl_seen is None or msg.ttl_remaining < self.min_ttl_seen:
-            self.min_ttl_seen = msg.ttl_remaining
+    @property
+    def max_trace_len(self) -> int:
+        """Most transmitters behind a received copy, origin included: each relay spends one hop."""
+        return 0 if self.min_ttl_seen is None else self.ttl - self.min_ttl_seen + 1
+
+    def record(self, msg_id: MsgId, ttl_remaining: int, receiver_ids: list[int]) -> None:
+        """One transmission of ``msg_id`` received by each of ``receiver_ids``."""
+        if self.min_ttl_seen is None or ttl_remaining < self.min_ttl_seen:
+            self.min_ttl_seen = ttl_remaining
         if self.record_receipts:
-            self.receipts.setdefault(msg.msg_id, TallyCounter()).update(receiver_ids)
+            self.receipts.setdefault(msg_id, TallyCounter()).update(receiver_ids)
 
     def receiver_sets(self) -> dict[MsgId, frozenset[int]]:
         return {m: frozenset(t) for m, t in self.receipts.items()}
@@ -186,10 +186,12 @@ class RunResult:
         return (tuple(sorted(totals.items())), per_step, positions)
 
 
-# One transmission in flight: the message plus where it was emitted from.
-_Tx = tuple[DisseminationMessage, int, float, float]
-# One received transmission: message, sender, live-receiver hits and offsets.
-_Rx = tuple[DisseminationMessage, int, np.ndarray, np.ndarray, np.ndarray]
+# One transmission in flight: message id, sender, hops left, where it was sent from.
+_Tx = tuple[MsgId, int, int, float, float]
+# One received transmission: message id, sender, hops left, live-receiver hits and offsets.
+_Rx = tuple[MsgId, int, int, np.ndarray, np.ndarray, np.ndarray]
+# Canonical delivery order; the sort is stable, so ties keep staging order.
+_tx_order = itemgetter(0, 1)
 
 
 class SimEngine:
@@ -217,7 +219,7 @@ class SimEngine:
             [[[] for _ in range(n)] for _ in range(n)] for _ in range(2)
         ]
         self._migrations: list[list[list[Entity]]] = [[[] for _ in range(n)] for _ in range(n)]
-        self.audit = DeliveryAudit(record_receipts)
+        self.audit = DeliveryAudit(config.ttl, record_receipts)
         self.session_logs: list[SessionLog] = []
         # The TCP session template; run() owns it.
         self._template: Optional[SessionTemplate] = None
@@ -248,7 +250,7 @@ class SimEngine:
             cell.clear()
         # Canonical order: every receiver's cache sees the same sequence no
         # matter which LP staged each transmission.
-        txs.sort(key=lambda tx: (tx[0].msg_id, tx[1]))
+        txs.sort(key=_tx_order)
 
         outgoing: list[_Tx] = []
         # Live receivers first, in ``lp.entities`` order; frozen ones after.
@@ -266,13 +268,13 @@ class SimEngine:
         # ahead changes nothing.
         batch: list[_Rx] = []
         batch_hits = 0
-        for msg, sender_id, sx, sy in txs:
+        for msg_id, sender_id, ttl, sx, sy in txs:
             hits, dxs, dys = self.world.disc(xs, ys, sx, sy, radius)
             live_hits = int(np.searchsorted(hits, n_live))
             # Frozen receivers get nothing; the drop is still accounted.
             part["dropped_delegated"] += len(hits) - live_hits
             if live_hits:
-                batch.append((msg, sender_id, hits[:live_hits], dxs, dys))
+                batch.append((msg_id, sender_id, ttl, hits[:live_hits], dxs, dys))
                 batch_hits += live_hits
                 if batch_hits >= n_live:
                     self._receive_batch(lp, live, live_ids, batch, part, outgoing)
@@ -289,15 +291,15 @@ class SimEngine:
             for eid, coin in zip(ids, coins.tolist()):
                 if coin < gen_prob:
                     entity = lp.entities[eid]
-                    msg = generate_message(eid, entity.next_seq, t, cfg)
+                    msg_id, ttl = generate_message(eid, entity.next_seq, cfg)
                     entity.next_seq += 1
-                    entity.cache.touch(msg.msg_id)  # never re-deliver to self
+                    entity.cache.touch(msg_id)  # never re-deliver to self
                     part["generated"] += 1
-                    outgoing.append((msg, eid, entity.x, entity.y))
+                    outgoing.append((msg_id, eid, ttl, entity.x, entity.y))
 
         nxt = self._inbox[(t + 1) % 2]
         for tx in outgoing:
-            for tgt in self._target_lps(tx[2]):
+            for tgt in self._target_lps(tx[3]):
                 nxt[tgt][lp.lp_id].append(tx)
 
     def _receive_batch(
@@ -311,15 +313,15 @@ class SimEngine:
     ) -> None:
         """Run the receipts of ``batch`` in order, with their coins drawn at once."""
         cfg = self.config
-        counts = [len(hits) for _, _, hits, _, _ in batch]
+        counts = [len(hits) for _, _, _, hits, _, _ in batch]
         coins = rng.unit_uniforms(
             (cfg.seed, rng.FORWARD),
-            live_ids[np.concatenate([hits for _, _, hits, _, _ in batch])],
-            np.repeat([msg.msg_id[0] for msg, _, _, _, _ in batch], counts),
-            np.repeat([msg.msg_id[1] for msg, _, _, _, _ in batch], counts),
+            live_ids[np.concatenate([hits for _, _, _, hits, _, _ in batch])],
+            np.repeat([msg_id[0] for msg_id, *_ in batch], counts),
+            np.repeat([msg_id[1] for msg_id, *_ in batch], counts),
         ).tolist()
         start = 0
-        for (msg, sender_id, hits, dxs, dys), count in zip(batch, counts):
+        for (msg_id, sender_id, ttl, hits, dxs, dys), count in zip(batch, counts):
             draws = coins[start : start + count]
             start += count
             received: list[int] = []
@@ -329,14 +331,14 @@ class SimEngine:
                 if rid == sender_id:
                     continue
                 dist = math.hypot(dx, dy)
-                duplicate, copy = relay_step(entity.cache, rid, msg, dist, draw, cfg)
+                duplicate, forward = relay_step(entity.cache, msg_id, ttl, dist, draw, cfg)
                 received.append(rid)
                 part["duplicates" if duplicate else "delivered"] += 1
-                if copy is not None:
+                if forward:
                     part["forwarded"] += 1
-                    outgoing.append((copy, rid, entity.x, entity.y))
+                    outgoing.append((msg_id, rid, ttl - 1, entity.x, entity.y))
             if received:
-                self.audit.record(msg, received)
+                self.audit.record(msg_id, ttl, received)
 
     def _phase_mobility(self, lp: LogicalProcess) -> None:
         cfg = self.config
@@ -364,7 +366,6 @@ class SimEngine:
                     f"entity {entity.id} returned at local ({lx}, {ly}), outside its region",
                 )
             entity.x, entity.y = self.world.wrap(lp.x0 + lx, ly)
-            entity.status = STATUS_ACTIVE
             del lp.delegated[entity.id]
             lp.entities[entity.id] = entity
         lp.pending_reint.clear()
@@ -400,7 +401,6 @@ class SimEngine:
         )[: trigger.entity_count]
         for entity in chosen:
             del lp.entities[entity.id]
-            entity.status = STATUS_DELEGATED
             lp.delegated[entity.id] = entity
         return chosen
 
@@ -596,13 +596,19 @@ def _drive_loopback(init: Init, t: int, transcript):
 
     thread = threading.Thread(target=serve, name=f"l1-{init.instance_id}", daemon=True)
     thread.start()
+    failure: Optional[ProtocolError] = None
     try:
         final = _drive_session(SessionClient(client_side), init, t)
+    except ProtocolError as exc:
+        failure = exc  # a crash shows here only as a closed connection
     finally:
         client_side.close()
         thread.join(timeout=30)
     if server_exc and not isinstance(server_exc[0], ProtocolError):
-        raise SimulationError(f"instance crashed: {server_exc[0]}")
+        crash = server_exc[0]
+        raise SimulationError(f"instance crashed: {type(crash).__name__}: {crash}") from crash
+    if failure is not None:
+        raise failure
     return final, None
 
 
@@ -691,10 +697,14 @@ def _kill(pid: Optional[int]) -> None:
 def _drive_subprocess(init: Init, t: int, transcript, template: SessionTemplate):
     pid, port, reports = template.start(init.instance_id)
     transport: Optional[Transport] = None
+    closed: Optional[TransportClosed] = None
     try:
         transport = connect_tcp(port, transcript=transcript)
-        final = _drive_session(SessionClient(transport), init, t)
-        lines = list(_report_lines(reports, "did not exit after its FINAL"))
+        try:
+            final = _drive_session(SessionClient(transport), init, t)
+        except TransportClosed as exc:
+            closed = exc  # the child hung up: its report lines say why
+        lines = list(_report_lines(reports, "did not exit after its session"))
     except BaseException:
         _kill(pid)
         raise
@@ -711,6 +721,9 @@ def _drive_subprocess(init: Init, t: int, transcript, template: SessionTemplate)
             child_rss = int(value)
         else:
             text.append(line)
-    if status != "0":
-        raise SimulationError(f"instance exited with {status or 'no status'}: " + "\n".join(text))
+    if closed is not None or status != "0":
+        cause = f"{closed}; " if closed is not None else ""
+        raise SimulationError(
+            f"{cause}instance exited with {status or 'no status'}: " + "\n".join(text)
+        ) from closed
     return final, child_rss

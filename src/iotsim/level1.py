@@ -184,8 +184,6 @@ class L1Entity:
     route_hops: Optional[int] = None
     arrived: bool = False
     query_seq: int = 0
-    query_attempts: int = 0
-    timed_out: bool = False
 
 
 @dataclass(slots=True)
@@ -202,14 +200,7 @@ class _Counters:
 class L1Instance:
     """One fine-grained session; strictly single-threaded and deterministic."""
 
-    def __init__(
-        self,
-        instance_id: str,
-        scenario: GridScenario,
-        entities: list[L1Entity],
-        fine_steps: int,
-    ) -> None:
-        self.instance_id = instance_id
+    def __init__(self, scenario: GridScenario, entities: list[L1Entity], fine_steps: int) -> None:
         self.scenario = scenario
         self.entities = {e.id: e for e in entities}
         self.entity_order = [e.id for e in entities]
@@ -228,10 +219,8 @@ class L1Instance:
         ]
         self.beacons_sent = 0
         # Hop keys are ints: grid node n as n >= 0, entity e as ~e < 0.
-        # Per grid node: route target -> (next hop, hop count, freshness seq).
-        self.node_routes: list[dict[int, tuple[int, int, int]]] = [
-            {} for _ in range(scenario.num_nodes)
-        ]
+        # Per grid node: flood origin -> the hop its first copy came from.
+        self.node_routes: list[dict[int, int]] = [{} for _ in range(scenario.num_nodes)]
         self.rreq_seen: set[tuple[int, int, int]] = set()  # (origin, seq, node)
         self.node_rrep_result: dict[int, int] = {}
 
@@ -256,7 +245,7 @@ class L1Instance:
             anchor = (0.0, 0.0)
         scenario = GridScenario.build(init.grid_side, destination, anchor=anchor)
         entities = [L1Entity(r.id, r.x, r.y, r.kind) for r in init.entities]
-        inst = cls(init.instance_id, scenario, entities, init.fine_steps)
+        inst = cls(scenario, entities, init.fine_steps)
         inst._bootstrap()
         return inst
 
@@ -316,12 +305,10 @@ class L1Instance:
 
     def _on_query(self, tick: int, eid: int) -> None:
         entity = self.entities[eid]
-        if entity.dest_pos is not None or entity.timed_out:
+        if entity.dest_pos is not None:
             return  # stale retry
-        if entity.query_attempts >= QUERY_RETRY_LIMIT:
-            entity.timed_out = True  # discovery timeout, left as hops=null
-            return
-        entity.query_attempts += 1
+        if entity.query_seq >= QUERY_RETRY_LIMIT:
+            return  # discovery timeout, left as hops=null; the retry chain ends here
         entity.query_seq += 1
         origin = ~eid
         self.counters.rreq += 1
@@ -341,44 +328,26 @@ class L1Instance:
             return
         self.rreq_seen.add((origin, seq, node))
         # First copy wins: with unit hop latency it rode a shortest path.
-        self.node_routes[node][origin] = (prev, hops, seq)
+        self.node_routes[node][origin] = prev
         if node == self.scenario.destination:
             self.counters.rrep += 1
-            dest_pos = self.scenario.node_pos(node)
-            self.queue.schedule(
-                tick + 1, (EventKind.RREP, prev, origin, seq, dest_pos, hops, 1, node)
-            )
+            self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, self.scenario.node_pos(node), hops))
             return
         self.counters.rreq += 1
         for m in self.scenario.neighbors[node]:
             self.queue.schedule(tick + 1, (EventKind.RREQ, m, origin, seq, hops + 1, node))
 
-    def _on_rrep(
-        self,
-        tick: int,
-        target: int,
-        origin: int,
-        seq: int,
-        dest_pos: tuple,
-        route_hops: int,
-        back_hops: int,
-        sender: int,
-    ) -> None:
+    def _on_rrep(self, tick: int, target: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
         if target == origin:
             self._deliver_rrep(tick, origin, dest_pos, route_hops)
             return
         if target < 0:
             return  # reply addressed to an entity that is not the querier
-        # Forward route toward the destination, learned from the reply path.
-        self.node_routes[target][self.scenario.destination] = (sender, back_hops, seq)
-        route = self.node_routes[target].get(origin)
-        if route is None:
+        prev = self.node_routes[target].get(origin)
+        if prev is None:
             return  # reverse path unknown; the reply dies here
         self.counters.rrep += 1
-        self.queue.schedule(
-            tick + 1,
-            (EventKind.RREP, route[0], origin, seq, dest_pos, route_hops, back_hops + 1, target),
-        )
+        self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, dest_pos, route_hops))
 
     def _deliver_rrep(self, tick: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
         if origin >= 0:
@@ -443,7 +412,7 @@ def discover_route(scenario: GridScenario, source: int, destination: int) -> int
     if source == destination:
         return 0
     probe = scenario if scenario.destination == destination else scenario.with_destination(destination)
-    inst = L1Instance("probe", probe, [], fine_steps=1)
+    inst = L1Instance(probe, [], fine_steps=1)
     inst._flood_from_node(0, source, 1)
     while source not in inst.node_rrep_result:
         item = inst.queue.pop()

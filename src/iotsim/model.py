@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import rng
@@ -17,9 +17,6 @@ EntityId = int
 KIND_STATIC = "static"
 KIND_MOBILE = "mobile"
 
-STATUS_ACTIVE = "active"
-STATUS_DELEGATED = "delegated"
-
 
 @dataclass(slots=True)
 class Entity:
@@ -30,8 +27,7 @@ class Entity:
     cache: MessageCache
     mobility: Optional[RwpState] = None
     mob_rng: Optional[random.Random] = None
-    status: str = STATUS_ACTIVE
-    next_seq: int = field(default=0)
+    next_seq: int = 0
 
 
 def make_cache(config: SimConfig) -> MessageCache:

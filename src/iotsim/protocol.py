@@ -197,6 +197,13 @@ def _require(obj: dict, key: str, kinds) -> object:
     return value
 
 
+def _require_at_least(obj: dict, key: str, low: int) -> int:
+    value = _require(obj, key, int)
+    if value < low:
+        raise ProtocolError("bad-field", f"{key!r} is {value}, below {low}, in {obj.get('type')}")
+    return value
+
+
 def _decode_record(obj: dict, with_status: bool) -> EntityRecord:
     if not isinstance(obj, dict):
         raise ProtocolError("bad-field", "entity record is not an object")
@@ -239,8 +246,9 @@ def decode(line: bytes) -> CoordMessage:
         return Init(
             instance_id=_require(obj, "instance_id", str),
             seed=_require(obj, "seed", int),
-            grid_side=_require(obj, "grid_side", int),
-            fine_steps=_require(obj, "fine_steps", int),
+            # SimConfig's bounds: a smaller grid or step count breaks the instance.
+            grid_side=_require_at_least(obj, "grid_side", 2),
+            fine_steps=_require_at_least(obj, "fine_steps", 1),
             entities=tuple(_decode_record(r, with_status=False) for r in entities),
         )
     if mtype == "CONTINUE":

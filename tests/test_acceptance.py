@@ -142,13 +142,13 @@ def test_c01_certain_flood_covers_exactly_the_hop_ball():
 
 def test_c02_forwarding_rate_tracks_probability():
     cfg = SimConfig(dissemination_prob=0.6)
-    msg = generate_message(1, 0, 0, cfg)
+    _, ttl_remaining = generate_message(1, 0, cfg)
     n = 100_000
     forwards = 0
     for i in range(n):
         draw = rng.unit_uniform(cfg.seed, rng.FORWARD, i, 1, 0)
         if should_forward(
-            msg.ttl_remaining, cache_hit=False, sender_distance=300.0, random_draw=draw, config=cfg
+            ttl_remaining, cache_hit=False, sender_distance=300.0, random_draw=draw, config=cfg
         ):
             forwards += 1
     rate = forwards / n

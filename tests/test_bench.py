@@ -1,9 +1,11 @@
 """Measurement plumbing, sweep plans, and the command-line front end."""
 
+import importlib.util
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -415,3 +417,17 @@ def test_l1_server_rejects_wrong_instance_id():
         transport.close()
     out, err = proc.communicate(timeout=30)
     assert proc.returncode == 1
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench wraps these by name from outside the package, and its own
+    # tests are not part of this suite: a rename must fail here too.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    targets = tracing.targets()
+    missing = [(name, attr) for name, owner, attr, _ in targets if attr not in vars(owner)]
+    assert targets
+    assert missing == []

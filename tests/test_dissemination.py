@@ -3,24 +3,7 @@
 import pytest
 
 from iotsim.config import SimConfig
-from iotsim.dissemination import (
-    DisseminationMessage,
-    MessageCache,
-    generate_message,
-    relay_step,
-    relayed_copy,
-    should_forward,
-)
-
-
-def _msg(origin=1, seq=0, now=0, ttl=4, trace=None):
-    return DisseminationMessage(
-        msg_id=(origin, seq),
-        origin=origin,
-        created_at=now,
-        ttl_remaining=ttl,
-        hop_trace=(origin,) if trace is None else trace,
-    )
+from iotsim.dissemination import MessageCache, generate_message, relay_step, should_forward
 
 
 def test_lru_eviction_order():
@@ -69,12 +52,9 @@ def test_cache_rejects_negative_capacity():
 
 def test_generate_message_fields():
     cfg = SimConfig(ttl=4)
-    msg = generate_message(origin_id=7, seq=3, now=12, config=cfg)
-    assert msg.msg_id == (7, 3)
-    assert msg.origin == 7
-    assert msg.created_at == 12
-    assert msg.ttl_remaining == 4
-    assert msg.hop_trace == (7,)
+    msg_id, ttl_remaining = generate_message(origin_id=7, seq=3, config=cfg)
+    assert msg_id == (7, 3)
+    assert ttl_remaining == 4
 
 
 def test_forward_gate_each_condition():
@@ -101,44 +81,30 @@ def test_certain_gossip_always_forwards_while_travel_remains():
     assert not should_forward(1, cache_hit=False, sender_distance=0.001, random_draw=0.0, config=cfg)
 
 
-def test_relayed_copy_decrements_and_extends_trace():
-    msg = _msg(origin=1, ttl=4)
-    out = relayed_copy(msg, relay_id=9)
-    assert out.ttl_remaining == 3
-    assert out.hop_trace == (1, 9)
-    assert out.msg_id == msg.msg_id
-    assert out.origin == 1
-    third = relayed_copy(out, relay_id=5)
-    assert third.ttl_remaining == 2
-    assert third.hop_trace == (1, 9, 5)
-
-
 def test_relay_step_fresh_copy_is_delivered_and_forwarded():
     cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     cache = MessageCache(256)
-    duplicate, copy = relay_step(
-        cache, relay_id=3, message=_msg(ttl=4), sender_distance=10.0, random_draw=0.2, config=cfg
+    duplicate, forward = relay_step(
+        cache, msg_id=(1, 0), ttl_remaining=4, sender_distance=10.0, random_draw=0.2, config=cfg
     )
     assert not duplicate
-    assert copy is not None
-    assert copy.ttl_remaining == 3
-    assert copy.hop_trace == (1, 3)
+    assert forward
 
 
 def test_relay_step_duplicate_neither_delivers_nor_forwards():
     cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     cache = MessageCache(256)
-    relay_step(cache, 3, _msg(), 10.0, 0.2, cfg)
-    duplicate, copy = relay_step(cache, 3, _msg(), 10.0, 0.2, cfg)
+    relay_step(cache, (1, 0), 4, 10.0, 0.2, cfg)
+    duplicate, forward = relay_step(cache, (1, 0), 4, 10.0, 0.2, cfg)
     assert duplicate
-    assert copy is None
+    assert not forward
 
 
 def test_relay_step_delivery_without_forward():
     cfg = SimConfig(dissemination_prob=0.6, forwarding_threshold=200.0)
     cache = MessageCache(256)
     # Near sender: delivered but suppressed.
-    assert relay_step(cache, 3, _msg(), sender_distance=50.0, random_draw=0.1, config=cfg) == (False, None)
+    assert relay_step(cache, (1, 0), 4, sender_distance=50.0, random_draw=0.1, config=cfg) == (False, False)
     # The receipt still populated the cache.
-    duplicate, _ = relay_step(cache, 3, _msg(), sender_distance=300.0, random_draw=0.1, config=cfg)
+    duplicate, _ = relay_step(cache, (1, 0), 4, sender_distance=300.0, random_draw=0.1, config=cfg)
     assert duplicate

@@ -12,7 +12,7 @@ from test_fingerprint_pin import PINS
 import iotsim.level0 as level0
 import iotsim.level1 as level1
 from iotsim.config import SimConfig, SpawnTrigger
-from iotsim.dissemination import DisseminationMessage, MessageCache
+from iotsim.dissemination import MessageCache
 from iotsim.level0 import (
     DeliveryAudit,
     SimEngine,
@@ -20,7 +20,7 @@ from iotsim.level0 import (
     partition,
     run_simulation,
 )
-from iotsim.model import STATUS_ACTIVE, STATUS_DELEGATED, Entity
+from iotsim.model import Entity
 from iotsim.protocol import EntityRecord, ProtocolError
 
 
@@ -151,7 +151,7 @@ def test_delegate_entities_picks_nearest_to_stripe_centroid():
     # Centroid is (50, 50); ids 1 and 2 tie at distance 10, lower id wins.
     assert [e.id for e in chosen] == [0, 1]
     assert set(lp.delegated) == {0, 1}
-    assert all(e.status == STATUS_DELEGATED for e in chosen)
+    assert all(lp.delegated[e.id] is e for e in chosen)
     assert set(lp.entities) == {2, 3, 4}
 
     with pytest.raises(SimulationError):
@@ -205,7 +205,6 @@ def test_delegation_of_static_entities_leaves_positions_unchanged():
         # rounding may nudge the round trip.
         assert pos_spawned[eid][0] == pytest.approx(x, abs=1e-6)
         assert pos_spawned[eid][1] == pytest.approx(y, abs=1e-6)
-    assert all(e.status == STATUS_ACTIVE for e in spawned.entities.values())
 
     by_step = {r.timestep: r for r in spawned.reports}
     assert by_step[1].delegated == 4
@@ -266,7 +265,6 @@ def test_reintegration_outside_region_is_rejected():
     lp = engine.lps[0]
     eid = next(iter(lp.entities))
     entity = lp.entities.pop(eid)
-    entity.status = STATUS_DELEGATED
     lp.delegated[eid] = entity
     bad = EntityRecord(eid, lp.x1 - lp.x0 + 1.0, 5.0, entity.kind)
     lp.pending_reint.append((entity, bad))
@@ -501,6 +499,31 @@ def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
     assert _gone(pid)
 
 
+def test_loopback_instance_crash_names_its_cause(monkeypatch):
+    def crash(self):
+        raise KeyError("lost entity 42")
+
+    monkeypatch.setattr(level1.L1Instance, "finalize", crash)
+    with pytest.raises(SimulationError, match="t0-lp0-0.*instance crashed: KeyError: 'lost entity 42'"):
+        run_simulation(replace(_TCP_RUN, l1_transport="loopback"))
+
+
+_CRASH_IN_FINALIZE = """
+def finalize(self):
+    raise KeyError("lost entity 42")
+level1.L1Instance.finalize = finalize
+"""
+
+
+def test_tcp_instance_crash_names_its_cause(monkeypatch):
+    seen = _watch_template(monkeypatch, _CRASH_IN_FINALIZE)
+    # The child's traceback, read from its report channel, ends the error.
+    with pytest.raises(SimulationError, match="(?s)t0-lp0-0.*exited with 1:.*KeyError: 'lost entity 42'$"):
+        run_simulation(_TCP_RUN)
+    (pid,) = seen["pids"]
+    assert _gone(pid)
+
+
 def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
     templates = []
 
@@ -556,20 +579,53 @@ def test_small_run_is_identical_for_any_stripe_count():
 # -- audit arithmetic ---------------------------------------------------------------
 
 
-def _dummy_msg(origin, seq, ttl, trace):
-    return DisseminationMessage((origin, seq), origin, 0, ttl, trace)
-
-
 def test_audit_tracks_extremes_and_duplicates():
-    audit = DeliveryAudit(record_receipts=True)
-    audit.record(_dummy_msg(1, 0, 3, (1,)), [5])
-    audit.record(_dummy_msg(1, 0, 2, (1, 5)), [6, 7])
-    audit.record(_dummy_msg(1, 0, 2, (1, 7)), [6])
-    audit.record(_dummy_msg(2, 0, 1, (2, 3, 4)), [5])
+    audit = DeliveryAudit(ttl=3, record_receipts=True)
+    assert audit.max_trace_len == 0
+    audit.record((1, 0), 3, [5])
+    audit.record((1, 0), 2, [6, 7])
+    audit.record((1, 0), 2, [6])
+    audit.record((2, 0), 1, [5])
     assert audit.max_trace_len == 3
     assert audit.min_ttl_seen == 1
     assert audit.receiver_sets() == {(1, 0): frozenset({5, 6, 7}), (2, 0): frozenset({5})}
     assert audit.duplicate_deliveries() == 1
+
+
+_CERTAIN_FLOOD = SimConfig(
+    num_ses=300,
+    total_timesteps=8,
+    generation_prob=0.01,
+    dissemination_prob=1.0,
+    forwarding_threshold=0.0,
+    ttl=4,
+    seed=5,
+)
+
+
+@pytest.mark.parametrize("ttl", [1, 4])
+def test_certain_flood_chain_is_the_hop_budget(ttl):
+    # Every fresh receipt of a copy that can still travel is relayed, so the
+    # longest chain spends the whole budget; with ttl 1 nobody relays.
+    result = run_simulation(_CERTAIN_FLOOD.with_updates(ttl=ttl))
+    assert result.audit.max_trace_len == ttl
+    assert (result.totals()["forwarded"] > 0) == (ttl > 1)
+
+
+def test_relayed_copies_spend_one_hop_per_step():
+    # A copy delivered k steps after its message's first delivery has been
+    # relayed k times, so it carries k hops fewer than the full budget.
+    cfg = _CERTAIN_FLOOD
+    engine = SimEngine(cfg)
+    first_seen: dict = {}
+    hop_counts = set()
+    for t in range(cfg.total_timesteps):
+        for msg_id, sender, ttl, _, _ in engine._inbox[t % 2][0][0]:
+            hops = t - first_seen.setdefault(msg_id, t)
+            assert ttl == cfg.ttl - hops, (msg_id, sender, t)
+            hop_counts.add(hops)
+        engine.advance_timestep(t)
+    assert hop_counts == set(range(cfg.ttl))
 
 
 def test_tallied_receipts_equal_delivered_plus_duplicates():

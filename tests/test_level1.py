@@ -137,7 +137,7 @@ def _entry_scan(scenario, x, y):
 @pytest.mark.parametrize("radio_range", [20.0, 25.0, 45.0])
 def test_entry_nodes_equal_the_full_scan(radio_range):
     scenario = GridScenario.build(6, destination=0, anchor=(57.5, -20.0), radio_range=radio_range)
-    inst = L1Instance("t0-lp0-0", scenario, [], fine_steps=1)
+    inst = L1Instance(scenario, [], fine_steps=1)
     (x0, y0), (x1, y1) = scenario.positions[0], scenario.positions[-1]
     draw = random.Random(11)
     points = [(draw.uniform(x0, x1), draw.uniform(y0, y1)) for _ in range(200)]  # inside
@@ -187,7 +187,7 @@ def test_session_counts_each_beacon_in_the_window_it_falls_in():
     # step is every beacon tick before that step's end.
     side, fine_steps = 5, 37
     scenario = GridScenario.build(side, destination=0)
-    inst = L1Instance("t0-lp0-0", scenario, [L1Entity(1, 3.0, 3.0, "static")], fine_steps)
+    inst = L1Instance(scenario, [L1Entity(1, 3.0, 3.0, "static")], fine_steps)
     inst._bootstrap()
     assert inst.counters.events_processed == _beacons_by_enumeration(side * side, 0, WARMUP_TICKS)
     for t in range(4):
@@ -225,7 +225,7 @@ def test_discover_route_disconnected_mesh_times_out():
 def _manual_instance(entity_xy, kind="mobile", side=3, destination=4, fine_steps=100):
     scenario = GridScenario.build(side, destination)
     entity = L1Entity(1, entity_xy[0], entity_xy[1], kind)
-    inst = L1Instance("t0-lp0-0", scenario, [entity], fine_steps)
+    inst = L1Instance(scenario, [entity], fine_steps)
     inst._bootstrap()
     return inst
 
@@ -261,7 +261,7 @@ def test_mobile_entity_discovers_route_and_walks():
 def test_route_hops_match_entry_plus_mesh_distance():
     scenario = GridScenario.build(4, destination=15)
     entity = L1Entity(9, 3.0, 0.0, "mobile")  # near node 0, far corner target
-    inst = L1Instance("t0-lp0-0", scenario, [entity], fine_steps=200)
+    inst = L1Instance(scenario, [entity], fine_steps=200)
     inst._bootstrap()
     records, _ = inst.run_one_coarse_step(0)
     entries = inst._entry_nodes(3.0, 0.0)

@@ -101,6 +101,8 @@ def test_entity_record_rejects_unknown_kind():
         (b'{"type":"CONTINUE","timestep":"7"}\n', "bad-field"),
         (b'{"type":"HELLO","version":1.5}\n', "bad-field"),
         (b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100}\n', "bad-field"),
+        (b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":1,"fine_steps":100,"entities":[]}\n', "bad-field"),
+        (b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":0,"entities":[]}\n', "bad-field"),
         (b'{"type":"FINAL","entities":[],"counters":{"rreq":0}}\n', "bad-field"),
         (
             b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100,'
