@@ -697,13 +697,15 @@ def _kill(pid: Optional[int]) -> None:
 def _drive_subprocess(init: Init, t: int, transcript, template: SessionTemplate):
     pid, port, reports = template.start(init.instance_id)
     transport: Optional[Transport] = None
-    closed: Optional[TransportClosed] = None
+    closed: Optional[ProtocolError] = None
     try:
         transport = connect_tcp(port, transcript=transcript)
         try:
             final = _drive_session(SessionClient(transport), init, t)
-        except TransportClosed as exc:
-            closed = exc  # the child hung up: its report lines say why
+        except ProtocolError as exc:
+            if not isinstance(exc, TransportClosed) and exc.code != "instance-failed":
+                raise
+            closed = exc  # the child crashed or hung up: its report lines say why
         lines = list(_report_lines(reports, "did not exit after its session"))
     except BaseException:
         _kill(pid)

@@ -15,6 +15,7 @@ child per session, so a session pays for a fork, not an interpreter start.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -24,7 +25,7 @@ import socket
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import rng
 from .protocol import Counters, EntityRecord, Init, InstanceHandlers, serve_tcp
@@ -42,6 +43,11 @@ QUERY_RETRY_LIMIT = 8
 QUEUE_LIMIT = 1_000_000
 # How long a session server waits for the engine to connect, in seconds.
 ACCEPT_TIMEOUT = 60.0
+# Grids anchored within this of the origin, in both coordinates, take their
+# links from the per-shape table (see ``_offset_links``).  A torus of 10**8
+# SEs at the default density is 10**6 wide, so sessions of any run up to that
+# size do.
+ANCHOR_BOUND = 2.0**20
 
 
 class SchedulingError(RuntimeError):
@@ -60,7 +66,6 @@ class EventKind(IntEnum):
     QUERY = 2
     RREQ = 3
     RREP = 4
-    MOVE = 5
 
 
 class EventQueue:
@@ -123,18 +128,22 @@ class GridScenario:
         positions = tuple(
             (ax + (n % side) * spacing, ay + (n // side) * spacing) for n in range(side * side)
         )
-        # Link by actual distance, not index math: the 4-adjacency shape is a
-        # consequence of the chosen range, not an assumption.  Index math only
-        # narrows the candidates to the nodes that could be in range.
-        reach = _index_reach(spacing, radio_range)
-        neighbors = tuple(
-            tuple(
-                m
-                for m in _window(side, n % side, n // side, reach)
-                if m != n and math.dist(positions[n], positions[m]) <= radio_range
+        neighbors = None
+        if abs(ax) <= ANCHOR_BOUND and abs(ay) <= ANCHOR_BOUND:
+            neighbors = _offset_links(side, spacing, radio_range)
+        if neighbors is None:
+            # Link by actual distance, not index math: the 4-adjacency shape is
+            # a consequence of the chosen range, not an assumption.  Index math
+            # only narrows the candidates to the nodes that could be in range.
+            reach = _index_reach(spacing, radio_range)
+            neighbors = tuple(
+                tuple(
+                    m
+                    for m in _window(side, n % side, n // side, reach)
+                    if m != n and math.dist(positions[n], positions[m]) <= radio_range
+                )
+                for n in range(side * side)
             )
-            for n in range(side * side)
-        )
         return cls(side, spacing, radio_range, positions, neighbors, destination)
 
     def with_destination(self, destination: int) -> "GridScenario":
@@ -153,6 +162,44 @@ class GridScenario:
 def _index_reach(spacing: float, radio_range: float) -> int:
     """Index offset beyond which two grid points are farther apart than the range."""
     return math.floor(radio_range / spacing) + 1
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_links(side: int, spacing: float, radio_range: float) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Each node's neighbours by index offset, the same for any anchor within
+    ``ANCHOR_BOUND``; None when rounding could flip a link.
+
+    A position coordinate is ``a + i * spacing`` rounded twice, so it is
+    within 2**-52 * M of exact, M = ANCHOR_BOUND + (side - 1) * spacing.
+    ``math.dist`` rounds the difference and the norm, and the nominal
+    ``hypot`` below rounds too, so the per-pair distance ``build`` would test
+    is within 2**-49 * (M + D) of the offset's nominal one, D < 2 * (range +
+    spacing) inside the index window.  When some offset's nominal distance
+    is within 512 times that of the range, a pair at that offset could
+    compare either way, so there is no table and the caller tests every pair.
+    """
+    reach = _index_reach(spacing, radio_range)
+    extent = ANCHOR_BOUND + (side - 1) * spacing
+    margin = 2.0**-40 * (extent + 2 * (radio_range + spacing))
+    offsets = []
+    for dr in range(-reach, reach + 1):
+        for dc in range(-reach, reach + 1):
+            if dr == dc == 0:
+                continue
+            dist = math.hypot(dc * spacing, dr * spacing)
+            if not abs(dist - radio_range) > margin:
+                return None
+            if dist < radio_range:
+                offsets.append((dr, dc))
+    return tuple(
+        tuple(
+            (row + dr) * side + col + dc
+            for dr, dc in offsets
+            if 0 <= row + dr < side and 0 <= col + dc < side
+        )
+        for row in range(side)
+        for col in range(side)
+    )
 
 
 def _window(side: int, col: int, row: int, reach: int) -> list[int]:
@@ -221,8 +268,13 @@ class L1Instance:
         # Hop keys are ints: grid node n as n >= 0, entity e as ~e < 0.
         # Per grid node: flood origin -> the hop its first copy came from.
         self.node_routes: list[dict[int, int]] = [{} for _ in range(scenario.num_nodes)]
-        self.rreq_seen: set[tuple[int, int, int]] = set()  # (origin, seq, node)
+        # (origin, seq, node), claimed by the first copy queued.
+        self.rreq_seen: set[tuple[int, int, int]] = set()
+        # Later copies change nothing but the event count: tick -> copies.
+        self.rreq_dropped: dict[int, int] = {}
         self.node_rrep_result: dict[int, int] = {}
+        # Entities walking to their destination -> the next tick they step.
+        self.walkers: dict[int, int] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -266,13 +318,48 @@ class L1Instance:
         while True:
             item = self.queue.pop_before(end_tick)
             if item is None:
-                return
+                break
             tick, event = item
             if tick < self.last_tick:
                 raise SchedulingError("event causality violated")
             self.last_tick = tick
             self.counters.events_processed += 1
             self._dispatch(tick, event)
+        for tick in [t for t in self.rreq_dropped if t < end_tick]:
+            self.counters.events_processed += self.rreq_dropped.pop(tick)
+        self._walk_until(end_tick)
+
+    def _walk_until(self, end_tick: int) -> None:
+        """Step every walker through the ticks before ``end_tick``, one event each.
+
+        A walk reads and writes only its own entity, and no event reads a
+        walker's position (``_on_query`` stops once a destination is known),
+        so walkers step after the window's events, in a plain loop.
+        """
+        counters = self.counters
+        step_len = self.step_len
+        for eid, tick in list(self.walkers.items()):
+            entity = self.entities[eid]
+            tx, ty = entity.dest_pos
+            x, y = entity.x, entity.y
+            start = tick
+            while tick < end_tick:
+                tick += 1
+                dx = tx - x
+                dy = ty - y
+                dist = math.hypot(dx, dy)
+                if dist <= ARRIVAL_RADIUS:
+                    entity.arrived = True
+                    counters.arrivals += 1
+                    del self.walkers[eid]
+                    break
+                step = dist if dist < step_len else step_len
+                x += step * dx / dist
+                y += step * dy / dist
+            else:
+                self.walkers[eid] = tick
+            counters.events_processed += tick - start
+            entity.x, entity.y = x, y
 
     def _dispatch(self, tick: int, event: tuple) -> None:
         kind = event[0]
@@ -282,8 +369,6 @@ class L1Instance:
             self._on_rreq(tick, *event[1:])
         elif kind == EventKind.RREP:
             self._on_rrep(tick, *event[1:])
-        elif kind == EventKind.MOVE:
-            self._on_move(tick, event[1])
         else:
             raise SchedulingError(f"unknown event kind {kind}")
 
@@ -311,31 +396,44 @@ class L1Instance:
             return  # discovery timeout, left as hops=null; the retry chain ends here
         entity.query_seq += 1
         origin = ~eid
-        self.counters.rreq += 1
-        for n in self._entry_nodes(entity.x, entity.y):
-            self.queue.schedule(tick + 1, (EventKind.RREQ, n, origin, entity.query_seq, 1, origin))
+        self._send_rreq(tick + 1, self._entry_nodes(entity.x, entity.y), origin, entity.query_seq, 1, origin)
         self.queue.schedule(tick + QUERY_RETRY_TICKS, (EventKind.QUERY, eid))
 
     def _flood_from_node(self, tick: int, source: int, seq: int) -> None:
+        self._send_rreq(tick + 1, self.scenario.neighbors[source], source, seq, 1, source)
+
+    def _send_rreq(
+        self, tick: int, nodes: Iterable[int], origin: int, seq: int, hops: int, prev: int
+    ) -> None:
+        """One RREQ broadcast: a copy for each of ``nodes``, handled at ``tick``.
+
+        Only a node's first copy of a flood acts; later ones, and the flood
+        echoed to its origin, are dropped on arrival.  Every RREQ is sent for
+        ``now + 1`` and the queue is FIFO among equal ticks, so the first copy
+        queued is the first handled: it claims its key here, and the copies
+        that would be dropped are only counted, as the events they would be.
+        """
         self.counters.rreq += 1
-        for m in self.scenario.neighbors[source]:
-            self.queue.schedule(tick + 1, (EventKind.RREQ, m, source, seq, 1, source))
+        seen = self.rreq_seen
+        dropped = 0
+        for node in nodes:
+            key = (origin, seq, node)
+            if node == origin or key in seen:
+                dropped += 1
+            else:
+                seen.add(key)
+                self.queue.schedule(tick, (EventKind.RREQ, node, origin, seq, hops, prev))
+        if dropped:
+            self.rreq_dropped[tick] = self.rreq_dropped.get(tick, 0) + dropped
 
     def _on_rreq(self, tick: int, node: int, origin: int, seq: int, hops: int, prev: int) -> None:
-        if origin == node:
-            return  # own flood echoed back
-        if (origin, seq, node) in self.rreq_seen:
-            return
-        self.rreq_seen.add((origin, seq, node))
         # First copy wins: with unit hop latency it rode a shortest path.
         self.node_routes[node][origin] = prev
         if node == self.scenario.destination:
             self.counters.rrep += 1
             self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, self.scenario.node_pos(node), hops))
             return
-        self.counters.rreq += 1
-        for m in self.scenario.neighbors[node]:
-            self.queue.schedule(tick + 1, (EventKind.RREQ, m, origin, seq, hops + 1, node))
+        self._send_rreq(tick + 1, self.scenario.neighbors[node], origin, seq, hops + 1, node)
 
     def _on_rrep(self, tick: int, target: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
         if target == origin:
@@ -359,23 +457,7 @@ class L1Instance:
             return  # duplicate reply
         entity.dest_pos = (dest_pos[0], dest_pos[1])
         entity.route_hops = route_hops
-        self.queue.schedule(tick + 1, (EventKind.MOVE, ident))
-
-    def _on_move(self, tick: int, eid: int) -> None:
-        entity = self.entities[eid]
-        if entity.arrived or entity.dest_pos is None:
-            return
-        dx = entity.dest_pos[0] - entity.x
-        dy = entity.dest_pos[1] - entity.y
-        dist = math.hypot(dx, dy)
-        if dist <= ARRIVAL_RADIUS:
-            entity.arrived = True
-            self.counters.arrivals += 1
-            return
-        step = min(self.step_len, dist)
-        entity.x += step * dx / dist
-        entity.y += step * dy / dist
-        self.queue.schedule(tick + 1, (EventKind.MOVE, eid))
+        self.walkers[ident] = tick + 1
 
     # -- session surface ----------------------------------------------------
 

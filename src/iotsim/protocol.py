@@ -472,8 +472,10 @@ def serve_session(
 ) -> None:
     """Instance side: one full session, HELLO through FINAL.
 
-    Any grammar or ordering violation is answered with ERROR and raised; the
-    caller owns the transport and decides process exit.
+    Any grammar or ordering violation is answered with ERROR and raised; so
+    is an exception from the instance (``instance-failed <Type>: <text>``),
+    which is raised as itself.  The caller owns the transport and decides
+    process exit.
     """
 
     def fail(code: str, detail: str) -> ProtocolError:
@@ -482,6 +484,13 @@ def serve_session(
         except ProtocolError:
             pass
         return ProtocolError(code, detail)
+
+    def answer(handler: Callable[[], tuple[tuple[EntityRecord, ...], Counters]]):
+        try:
+            return handler()
+        except Exception as exc:
+            fail("instance-failed", f"{type(exc).__name__}: {exc}")
+            raise
 
     transport.send_line(encode(Hello()))
     msg = decode(transport.recv_line(timeout))
@@ -499,13 +508,10 @@ def serve_session(
         if isinstance(msg, Error):
             raise ProtocolError(msg.code, msg.detail)
         if isinstance(msg, Continue):
-            try:
-                entities, counters = handlers.run_step(msg.timestep)
-            except Exception as exc:
-                raise fail("instance-failed", str(exc)) from exc
+            entities, counters = answer(lambda: handlers.run_step(msg.timestep))
             transport.send_line(encode(StepResult(msg.timestep, entities, counters)))
         elif isinstance(msg, End):
-            entities, counters = handlers.finalize()
+            entities, counters = answer(handlers.finalize)
             transport.send_line(encode(Final(entities, counters)))
             return
         else:

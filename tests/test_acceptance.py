@@ -406,17 +406,17 @@ def test_c09_guided_walk_arrives_on_schedule():
 def test_c10_activations_only_add_time():
     t0 = time.monotonic()
     # Every activation delegates one mobile entity, whose walk costs one
-    # event per fine step; beacons cost nothing, so a static-only session
-    # would be almost free.  fine_steps is sized so one session (~1s on a
-    # 2-CPU host) dwarfs seed-to-seed noise in the coarse phase (~0.3s),
-    # keeping the trend strict at every gap.
+    # loop step per fine step; beacons and duplicate route requests cost
+    # nothing, so a static-only session would be almost free.  fine_steps is
+    # sized so one session (~1s on a 2-CPU host) dwarfs seed-to-seed noise
+    # in the coarse phase (~0.3s), keeping the trend strict at every gap.
     base = SimConfig(
         num_ses=1000,
         mobile_fraction=1.0,
         total_timesteps=100,
         num_lps=1,
         generation_prob=0.005,
-        l1_fine_steps_per_timestep=360000,
+        l1_fine_steps_per_timestep=3000000,
         l1_transport="loopback",
         seed=17,
     )

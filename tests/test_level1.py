@@ -1,5 +1,6 @@
 """Fine-grained engine: event queue, grid mesh, discovery, and walking."""
 
+import hashlib
 import math
 import random
 from collections import deque
@@ -8,10 +9,12 @@ import pytest
 
 from iotsim import rng
 from iotsim.level1 import (
+    ANCHOR_BOUND,
     BEACON_INTERVAL,
     GRID_SPACING,
     QUERY_RETRY_LIMIT,
     WARMUP_TICKS,
+    EventKind,
     EventQueue,
     EventQueueOverflow,
     GridScenario,
@@ -22,7 +25,7 @@ from iotsim.level1 import (
     beacons_before,
     discover_route,
 )
-from iotsim.protocol import EntityRecord, Final, Init, encode
+from iotsim.protocol import EntityRecord, Final, Init, StepResult, encode
 
 
 def _bfs_hops(scenario, src, dst):
@@ -96,14 +99,24 @@ def test_grid_links_are_four_adjacent(side):
             assert math.dist(scenario.positions[n], scenario.positions[m]) == GRID_SPACING
 
 
-@pytest.mark.parametrize("radio_range", [20.0, 25.0, 45.0])
-def test_grid_links_equal_the_all_pairs_scan(radio_range):
+@pytest.mark.parametrize(
+    "radio_range, anchor",
+    [
+        pytest.param(20.0, (-313.7, 1024.25), id="20.0"),
+        pytest.param(25.0, (-313.7, 1024.25), id="25.0"),
+        pytest.param(45.0, (-313.7, 1024.25), id="45.0"),
+        # Exactly on the diagonal offset's distance: rounding decides each pair.
+        pytest.param(GRID_SPACING * math.sqrt(2), (-313.7, 1024.25), id="diagonal"),
+        # x rounds to multiples of 16 here: links are 16 or 32 long, not 20.
+        pytest.param(25.0, (1e17, -3.0), id="far-anchor"),
+        pytest.param(25.0, (ANCHOR_BOUND, -ANCHOR_BOUND), id="anchor-bound"),
+    ],
+)
+def test_grid_links_equal_the_all_pairs_scan(radio_range, anchor):
     # At 45.0 a node reaches two rows and columns away, so the candidate
     # window must widen with the range.
     for side in range(2, 16):
-        scenario = GridScenario.build(
-            side, destination=0, anchor=(-313.7, 1024.25), radio_range=radio_range
-        )
+        scenario = GridScenario.build(side, destination=0, anchor=anchor, radio_range=radio_range)
         pos = scenario.positions
         want = tuple(
             tuple(
@@ -112,6 +125,12 @@ def test_grid_links_equal_the_all_pairs_scan(radio_range):
             for n in range(side * side)
         )
         assert scenario.neighbors == want
+
+
+def test_grid_shape_links_are_built_once():
+    a = GridScenario.build(20, destination=0, anchor=(12.5, -3.0))
+    b = GridScenario.build(20, destination=7, anchor=(-400.0, 99.75))
+    assert a.neighbors is b.neighbors
 
 
 def test_grid_positions_follow_anchor():
@@ -323,6 +342,27 @@ def test_from_init_without_entities():
     assert counters.events_processed > 0
 
 
+def test_the_heap_holds_no_walker_ticks_and_no_duplicate_rreqs(monkeypatch):
+    queued = []
+    schedule = EventQueue.schedule
+
+    def spy(self, tick, event):
+        queued.append(event)
+        schedule(self, tick, event)
+
+    monkeypatch.setattr(EventQueue, "schedule", spy)
+    entities = tuple(EntityRecord(i, 60.0 + 7.0 * i, 50.0 - 3.0 * i, "mobile") for i in range(1, 6))
+    init = Init("spy", seed=99, grid_side=8, fine_steps=400, entities=entities)
+    inst = L1Instance.from_init(init)
+    for t in range(6):
+        records, _ = inst.run_one_coarse_step(t)
+    assert {event[0] for event in queued} == {EventKind.QUERY, EventKind.RREQ, EventKind.RREP}
+    rreqs = [(e[2], e[3], e[1]) for e in queued if e[0] == EventKind.RREQ]  # (origin, seq, node)
+    assert len(rreqs) == len(set(rreqs))
+    # Every entity found its route and walked.
+    assert all(r.hops is not None and (r.x, r.y) != (e.x, e.y) for r, e in zip(records, entities))
+
+
 def test_identical_init_gives_identical_reports():
     init = Init(
         instance_id="t1-lp0-0",
@@ -342,3 +382,72 @@ def test_identical_init_gives_identical_reports():
     assert fa == fb
     assert encode(Final(*fa)) == encode(Final(*fb))
 
+
+
+# -- session bytes --------------------------------------------------------------
+
+
+def _pinned_session_init(draw):
+    """One seeded INIT: 0-6 entities around a random centre, some placed to
+    walk 0-10 units to the destination node and arrive during the session."""
+    side = draw.randint(3, 20)
+    fine_steps = draw.choice([1, 2, 3, 7, draw.randint(1, 60), draw.randint(1, 3000)])
+    seed = draw.getrandbits(63)
+    centre = (draw.uniform(0.0, 3000.0), draw.uniform(0.0, 3000.0))
+    half = (side - 1) * GRID_SPACING / 2.0
+    kinds = [draw.choice(["mobile", "mobile", "static"]) for _ in range(draw.randint(0, 6))]
+    xy = [
+        (centre[0] + draw.uniform(-half - 40, half + 40), centre[1] + draw.uniform(-half - 40, half + 40))
+        for _ in kinds
+    ]
+    # Walkers to land near the destination; at least one entity stays put, so
+    # re-placing them converges onto the grid that their own centroid moves.
+    arrivers = [i for i, k in enumerate(kinds[1:], 1) if k == "mobile" and draw.random() < 0.6]
+    reach = [0.0, draw.uniform(0.0, 2.5), draw.uniform(0.0, 10.0)]
+    offsets = {i: (draw.choice(reach), draw.uniform(0.0, 2 * math.pi)) for i in arrivers}
+    dest = rng.substream(seed, rng.LEVEL1).randrange(side * side)
+    for _ in range(200):
+        cx = sum(x for x, _ in xy) / len(xy) if xy else 0.0
+        cy = sum(y for _, y in xy) / len(xy) if xy else 0.0
+        dx = round(cx - half, 6) + (dest % side) * GRID_SPACING
+        dy = round(cy - half, 6) + (dest // side) * GRID_SPACING
+        for i, (r, a) in offsets.items():
+            xy[i] = (dx + r * math.cos(a), dy + r * math.sin(a))
+    ids = draw.sample(range(1, 10_000), len(kinds))
+    entities = tuple(EntityRecord(i, x, y, k) for i, (x, y), k in zip(ids, xy, kinds))
+    return Init(f"pin-{seed}", seed, side, fine_steps, entities), draw.randint(1, 6)
+
+
+def test_session_bytes_are_pinned():
+    # sha256 over every encoded STEP_RESULT and FINAL of 60 seeded sessions,
+    # recorded from the engine that queued one MOVE event per walker tick and
+    # every duplicate RREQ copy, and that linked each grid pair by distance.
+    digest = hashlib.sha256()
+    arrived_in_route_window = arrived_later = still_walking = 0
+    for case in range(60):
+        init, coarse_steps = _pinned_session_init(random.Random(case))
+        inst = L1Instance.from_init(init)
+        routed_at: dict[int, int] = {}
+        arrived: set[int] = set()
+        for t in range(coarse_steps):
+            records, counters = inst.run_one_coarse_step(t)
+            digest.update(encode(StepResult(t, records, counters)))
+            for r in records:
+                if r.hops is not None:
+                    routed_at.setdefault(r.id, t)
+                if r.arrived and r.id not in arrived:
+                    arrived.add(r.id)
+                    if routed_at[r.id] == t:
+                        arrived_in_route_window += 1
+                    else:
+                        arrived_later += 1
+        digest.update(encode(Final(*inst.finalize())))
+        still_walking += sum(1 for r in records if r.hops is not None and not r.arrived)
+    # The data covers walks that end in the window their reply came in,
+    # walks that cross windows, and walks still under way at the end.
+    assert min(arrived_in_route_window, arrived_later, still_walking) >= 5, (
+        arrived_in_route_window,
+        arrived_later,
+        still_walking,
+    )
+    assert digest.hexdigest() == "6d9809aec6363a864cab720e80dba7ace32fb241162ec0159cd39b1ad197610a"

@@ -311,6 +311,29 @@ def test_client_rejects_step_result_with_changed_ids():
     assert [e.code for e in errors] == ["entity-mismatch"]
 
 
+@pytest.mark.parametrize("crash_in", ["run_step", "finalize"])
+def test_instance_crash_is_answered_on_the_wire(crash_in):
+    def crash(*_):
+        raise KeyError("lost entity 42")
+
+    def make_instance(init):
+        handlers = _echo_handlers(init)
+        setattr(handlers, crash_in, crash)
+        return handlers
+
+    client_t, server_t = loopback_pair()
+    for msg in (_sample_init(), Continue(0), End()):
+        client_t.send_line(encode(msg))
+    # Raised as itself, so the instance's host can name the cause too.
+    with pytest.raises(KeyError, match="lost entity 42"):
+        serve_session(server_t, make_instance, timeout=1)
+    lines = []
+    while (line := client_t.recv_line(timeout=1)) and not line.startswith(b'{"type":"ERROR"'):
+        lines.append(line)
+    assert line == b'{"type":"ERROR","code":"instance-failed","detail":"KeyError: \'lost entity 42\'"}\n'
+    assert len(lines) == (1 if crash_in == "run_step" else 2)  # HELLO, then any STEP_RESULT
+
+
 def test_error_reply_propagates_to_caller():
     client_t, server_t = loopback_pair()
     server_t.send_line(encode(Error("instance-failed", "boom")))
