@@ -84,7 +84,7 @@ def _write_report_csv(result, out_path: str) -> None:
                     r.dropped_delegated,
                     r.active,
                     r.delegated,
-                    f"{max(r.lp_wct):.6f}",
+                    f"{r.deliver_wct + max(r.lp_wct):.6f}",
                 ]
             )
     finally:

@@ -1,29 +1,28 @@
 """Coarse time-stepped engine: logical processes over world stripes.
 
 The world is split into equal vertical stripes, one logical process (LP) per
-stripe, all stepped by one thread.  Each timestep runs in fixed phases:
+stripe.  An LP owns the entities in its stripe: it moves them, hands them to
+its neighbours when they cross a seam, and delegates some of them to
+fine-grained sessions.  Delivery does not care about stripes.  Each timestep
+runs in fixed phases:
 
-  (1) for each LP in id order:
-      - deliver the transmissions staged for this step (local and remote
-        alike: every transmission is received exactly one step after it was
-        emitted); per receiver, run cache/relay decisions; stage relayed
-        copies and fresh generations for the next step,
-      - step mobility,
-      - apply pending reintegrations, then stage for migration the entities
-        whose position crossed a stripe boundary,
-  (2) for each LP, take in the entities migrating into its stripe,
-  (3) process this step's spawn triggers: delegate entities and drive each
+  (1) deliver, once for the whole world: every transmission staged last step
+      is received exactly one step after it was emitted, by every live
+      entity in its disc, in one canonical order; then live entities
+      generate.  Relayed copies and fresh messages are staged for the next
+      step,
+  (2) for each LP in id order: step mobility, apply pending reintegrations,
+      then stage for migration the entities whose position crossed a stripe
+      boundary,
+  (3) hand each migrating entity to the LP of its new stripe,
+  (4) process this step's spawn triggers: delegate entities and drive each
       fine-grained session to completion.  With more than one LP, each LP
       with triggers runs its sessions on a thread of its own, so sessions of
       different LPs overlap; all are joined before the step ends.
 
-Running (1) one LP after another is safe: deliver reads only this step's
-inbox and stages into the next step's, and migration out only stages.
-
 Determinism does not depend on the partitioning: in-loop random decisions are
-stateless hashes of (seed, purpose, ids), transmissions are routed to every
-stripe their interaction disc touches, and each receiver consumes deliveries
-in a canonical order.
+stateless hashes of (seed, purpose, ids), and every receiver consumes its
+receipts in the order of (message id, sender).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, TextIO
 
 import numpy as np
@@ -83,14 +82,17 @@ class LogicalProcess:
     pending_reint: list[tuple[Entity, EntityRecord]] = field(default_factory=list)
 
 
+def stripe_of(x: float, world: ToroidalWorld, num_lps: int) -> int:
+    """The stripe holding ``x``, of ``num_lps`` equal-width ones."""
+    return min(int(x / (world.width / num_lps)), num_lps - 1)
+
+
 def partition(config: SimConfig, entities: list[Entity], world: ToroidalWorld) -> list[LogicalProcess]:
     """Equal-width stripes; each entity goes to the stripe holding its x."""
     n = config.num_lps
     lps = [LogicalProcess(i, i * world.width / n, (i + 1) * world.width / n) for i in range(n)]
-    stripe_w = world.width / n
     for e in entities:
-        idx = min(int(e.x / stripe_w), n - 1)
-        lps[idx].entities[e.id] = e
+        lps[stripe_of(e.x, world, n)].entities[e.id] = e
     return lps
 
 
@@ -104,8 +106,10 @@ class TimestepReport:
     dropped_delegated: int
     active: int
     delegated: int
-    # Each LP's own work in the step (deliver, mobility, migration, its
-    # sessions), in seconds; no wait on another LP is included.
+    # The step's one world-wide deliver, in seconds.
+    deliver_wct: float
+    # Each LP's own work in the step (mobility, migration out, its sessions),
+    # in seconds; no wait on another LP is included.
     lp_wct: tuple[float, ...]
 
 
@@ -208,17 +212,13 @@ class SimEngine:
         self.keep_transcripts = keep_transcripts
         entities = make_entities(config, self.world)
         self.lps = partition(config, entities, self.world)
-        n = config.num_lps
-        self.stripe_w = self.world.width / n
         self.triggers: dict[tuple[int, int], list[SpawnTrigger]] = {}
         for trig in config.l1_schedule:
             self.triggers.setdefault((trig.at_timestep, trig.lp_id), []).append(trig)
 
-        # inbox[parity][target][source]: transmissions staged for delivery.
-        self._inbox: list[list[list[list[_Tx]]]] = [
-            [[[] for _ in range(n)] for _ in range(n)] for _ in range(2)
-        ]
-        self._migrations: list[list[list[Entity]]] = [[[] for _ in range(n)] for _ in range(n)]
+        # Transmissions staged for the next deliver, and entities leaving their stripe.
+        self._staged: list[_Tx] = []
+        self._migrating: list[Entity] = []
         self.audit = DeliveryAudit(config.ttl, record_receipts)
         self.session_logs: list[SessionLog] = []
         # The TCP session template; run() owns it.
@@ -226,44 +226,25 @@ class SimEngine:
 
     # -- step phases ----------------------------------------------------------
 
-    def _stripe_of(self, x: float) -> int:
-        return min(int(x / self.stripe_w), self.config.num_lps - 1)
-
-    def _target_lps(self, sx: float) -> tuple[int, ...]:
-        """Stripes whose region intersects [sx - R, sx + R] on the torus."""
-        n = self.config.num_lps
-        if n == 1:
-            return (0,)
-        radius = self.config.interaction_range
-        if 2 * radius >= self.world.width:
-            return tuple(range(n))
-        i0 = math.floor((sx - radius) / self.stripe_w)
-        i1 = math.floor((sx + radius) / self.stripe_w)
-        return tuple(sorted({i % n for i in range(i0, i1 + 1)}))
-
-    def _phase_deliver(self, lp: LogicalProcess, t: int, part: dict) -> None:
+    def _phase_deliver(self, t: int, part: dict) -> None:
+        """Step ``t``'s one deliver: receive last step's transmissions, then
+        generate; relayed copies and fresh messages are staged for step ``t + 1``."""
         cfg = self.config
-        cur = self._inbox[t % 2][lp.lp_id]
-        txs: list[_Tx] = []
-        for cell in cur:
-            txs.extend(cell)
-            cell.clear()
         # Canonical order: every receiver's cache sees the same sequence no
-        # matter which LP staged each transmission.
-        txs.sort(key=_tx_order)
-
-        outgoing: list[_Tx] = []
-        # Live receivers first, in ``lp.entities`` order; frozen ones after.
-        live = list(lp.entities.values())
-        receivers = live + list(lp.delegated.values())
+        # matter who staged each transmission.
+        txs = sorted(self._staged, key=_tx_order)
+        self._staged = outgoing = []
+        # Live receivers first; frozen ones after.
+        live = [e for lp in self.lps for e in lp.entities.values()]
+        receivers = live + [e for lp in self.lps for e in lp.delegated.values()]
         n_live = len(live)
-        live_ids = np.fromiter(lp.entities, dtype=np.int64, count=n_live)
+        live_ids = np.fromiter((e.id for e in live), dtype=np.int64, count=n_live)
         xs = np.fromiter((e.x for e in receivers), dtype=np.float64, count=len(receivers))
         ys = np.fromiter((e.y for e in receivers), dtype=np.float64, count=len(receivers))
         radius = cfg.interaction_range
 
         # Transmissions with live hits wait in a batch until it holds as many
-        # receipts as the LP has live entities; then one kernel call draws all
+        # receipts as there are live entities; then one kernel call draws all
         # their forward coins.  Coins do not depend on cache state, so drawing
         # ahead changes nothing.
         batch: list[_Rx] = []
@@ -277,34 +258,25 @@ class SimEngine:
                 batch.append((msg_id, sender_id, ttl, hits[:live_hits], dxs, dys))
                 batch_hits += live_hits
                 if batch_hits >= n_live:
-                    self._receive_batch(lp, live, live_ids, batch, part, outgoing)
+                    self._receive_batch(live, live_ids, batch, part, outgoing)
                     batch.clear()
                     batch_hits = 0
         if batch:
-            self._receive_batch(lp, live, live_ids, batch, part, outgoing)
+            self._receive_batch(live, live_ids, batch, part, outgoing)
 
         # Fresh traffic, in id order so staging order is reproducible.
-        gen_prob = cfg.generation_prob
-        if gen_prob > 0:
-            ids = sorted(lp.entities)
-            coins = rng.unit_uniforms((cfg.seed, rng.GENERATION), np.array(ids, dtype=np.int64), t)
-            for eid, coin in zip(ids, coins.tolist()):
-                if coin < gen_prob:
-                    entity = lp.entities[eid]
-                    msg_id, ttl = generate_message(eid, entity.next_seq, cfg)
-                    entity.next_seq += 1
-                    entity.cache.touch(msg_id)  # never re-deliver to self
-                    part["generated"] += 1
-                    outgoing.append((msg_id, eid, ttl, entity.x, entity.y))
-
-        nxt = self._inbox[(t + 1) % 2]
-        for tx in outgoing:
-            for tgt in self._target_lps(tx[3]):
-                nxt[tgt][lp.lp_id].append(tx)
+        if cfg.generation_prob > 0:
+            coins = rng.unit_uniforms((cfg.seed, rng.GENERATION), live_ids, t)
+            winners = np.flatnonzero(coins < cfg.generation_prob).tolist()
+            for entity in sorted((live[i] for i in winners), key=attrgetter("id")):
+                msg_id, ttl = generate_message(entity.id, entity.next_seq, cfg)
+                entity.next_seq += 1
+                entity.cache.touch(msg_id)  # never re-deliver to self
+                part["generated"] += 1
+                outgoing.append((msg_id, entity.id, ttl, entity.x, entity.y))
 
     def _receive_batch(
         self,
-        lp: LogicalProcess,
         live: list[Entity],
         live_ids: np.ndarray,
         batch: list[_Rx],
@@ -374,16 +346,16 @@ class SimEngine:
         # Reintegrations from last step's sessions re-enter here, then the
         # normal stripe sweep re-homes whoever moved.
         self._reintegrate(lp)
-        me = lp.lp_id
-        for eid in [e.id for e in lp.entities.values() if self._stripe_of(e.x) != me]:
-            entity = lp.entities.pop(eid)
-            self._migrations[self._stripe_of(entity.x)][me].append(entity)
+        n = self.config.num_lps
+        for eid in [e.id for e in lp.entities.values() if stripe_of(e.x, self.world, n) != lp.lp_id]:
+            self._migrating.append(lp.entities.pop(eid))
 
-    def _phase_migrate_in(self, lp: LogicalProcess) -> None:
-        for cell in self._migrations[lp.lp_id]:
-            for entity in cell:
-                lp.entities[entity.id] = entity
-            cell.clear()
+    def _phase_migrate_in(self) -> None:
+        """Hand every migrating entity to the LP of its new stripe."""
+        n = self.config.num_lps
+        for entity in self._migrating:
+            self.lps[stripe_of(entity.x, self.world, n)].entities[entity.id] = entity
+        self._migrating.clear()
 
     # -- delegation and sessions ----------------------------------------------
 
@@ -466,9 +438,8 @@ class SimEngine:
 
     # -- step driver ------------------------------------------------------------
 
-    def _lp_step(self, lp: LogicalProcess, t: int, part: dict) -> None:
-        """One LP's deliver, mobility and migration out, counted into ``part``."""
-        self._phase_deliver(lp, t, part)
+    def _lp_step(self, lp: LogicalProcess) -> None:
+        """One LP's mobility and migration out."""
         self._phase_mobility(lp)
         self._phase_migrate_out(lp)
 
@@ -508,15 +479,15 @@ class SimEngine:
         """Run step ``t`` on every LP and return its report."""
         counts = ("generated", "forwarded", "delivered", "duplicates", "dropped_delegated")
         part = dict.fromkeys(counts, 0)
+        start = time.perf_counter()
+        self._phase_deliver(t, part)
+        deliver_wct = time.perf_counter() - start
         lp_wct = [0.0] * len(self.lps)
         for lp in self.lps:
             start = time.perf_counter()
-            self._lp_step(lp, t, part)
+            self._lp_step(lp)
             lp_wct[lp.lp_id] = time.perf_counter() - start
-        for lp in self.lps:
-            start = time.perf_counter()
-            self._phase_migrate_in(lp)
-            lp_wct[lp.lp_id] += time.perf_counter() - start
+        self._phase_migrate_in()
         self._step_sessions(t, lp_wct)
 
         report = TimestepReport(
@@ -524,6 +495,7 @@ class SimEngine:
             **part,
             active=sum(len(lp.entities) for lp in self.lps),
             delegated=sum(len(lp.delegated) for lp in self.lps),
+            deliver_wct=deliver_wct,
             lp_wct=tuple(lp_wct),
         )
         if report.active + report.delegated != self.config.num_ses:

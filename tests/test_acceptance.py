@@ -12,7 +12,6 @@ import os
 import time
 from collections import deque
 
-import conftest
 import pytest
 
 import iotsim.bench as bench
@@ -44,17 +43,17 @@ from iotsim.protocol import (
 )
 
 
-def _verdict(cid: str, name: str, ok: bool, detail: str) -> None:
+def _verdict(verdicts: list, cid: str, name: str, ok: bool, detail: str) -> None:
     line = f"ACCEPTANCE {cid} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
-    conftest.VERDICTS.append(line)
+    verdicts.append(line)
     assert ok, line
 
 
-def _skip(cid: str, name: str, reason: str) -> None:
+def _skip(verdicts: list, cid: str, name: str, reason: str) -> None:
     line = f"ACCEPTANCE {cid} {name}: SKIP ({reason})"
     print(line)
-    conftest.VERDICTS.append(line)
+    verdicts.append(line)
     pytest.skip(reason)
 
 
@@ -72,7 +71,7 @@ def _bfs_ball(adj: dict[int, list[int]], origin: int, radius: int) -> frozenset:
     return frozenset(n for n, d in dist.items() if d >= 1)
 
 
-def test_c01_certain_flood_covers_exactly_the_hop_ball():
+def test_c01_certain_flood_covers_exactly_the_hop_ball(verdicts):
     # prob=1, threshold=0, deliver-once: receivers of each message must equal
     # the graph ball of radius TTL around its origin, over 100 static worlds.
     t0 = time.monotonic()
@@ -133,6 +132,7 @@ def test_c01_certain_flood_covers_exactly_the_hop_ball():
             checked += 1
     elapsed = time.monotonic() - t0
     _verdict(
+        verdicts,
         "C01",
         "flood-equals-hop-ball",
         mismatches == 0 and checked >= 100 and elapsed < 10.0,
@@ -140,7 +140,7 @@ def test_c01_certain_flood_covers_exactly_the_hop_ball():
     )
 
 
-def test_c02_forwarding_rate_tracks_probability():
+def test_c02_forwarding_rate_tracks_probability(verdicts):
     cfg = SimConfig(dissemination_prob=0.6)
     _, ttl_remaining = generate_message(1, 0, cfg)
     n = 100_000
@@ -153,6 +153,7 @@ def test_c02_forwarding_rate_tracks_probability():
             forwards += 1
     rate = forwards / n
     _verdict(
+        verdicts,
         "C02",
         "forwarding-rate",
         abs(rate - 0.60) <= 0.01,
@@ -160,7 +161,7 @@ def test_c02_forwarding_rate_tracks_probability():
     )
 
 
-def test_c03_hop_budget_holds_in_reference_run():
+def test_c03_hop_budget_holds_in_reference_run(verdicts):
     cfg = SimConfig(num_ses=1000, total_timesteps=100, generation_prob=0.02, seed=42)
     result = run_simulation(cfg)
     audit = result.audit
@@ -169,6 +170,7 @@ def test_c03_hop_budget_holds_in_reference_run():
     ttl_floor = audit.min_ttl_seen is not None and audit.min_ttl_seen >= 1
     chain_ok = audit.max_trace_len <= cfg.ttl
     _verdict(
+        verdicts,
         "C03",
         "ttl-bound",
         chain_ok and ttl_floor and multi_hop and totals["forwarded"] > 0,
@@ -177,7 +179,7 @@ def test_c03_hop_budget_holds_in_reference_run():
     )
 
 
-def test_c04_cache_suppresses_duplicate_deliveries():
+def test_c04_cache_suppresses_duplicate_deliveries(verdicts):
     worse = 0
     dup_on_total = 0
     dup_off_total = 0
@@ -192,6 +194,7 @@ def test_c04_cache_suppresses_duplicate_deliveries():
         if dup_on > dup_off:
             worse += 1
     _verdict(
+        verdicts,
         "C04",
         "lru-suppression",
         worse == 0 and dup_off_total > 0,
@@ -200,12 +203,13 @@ def test_c04_cache_suppresses_duplicate_deliveries():
     )
 
 
-def test_c05_results_do_not_depend_on_stripe_count():
+def test_c05_results_do_not_depend_on_stripe_count(verdicts):
     t0 = time.monotonic()
     base = SimConfig(num_ses=1000, total_timesteps=100, generation_prob=0.01, seed=7)
     prints = [run_simulation(base.with_updates(num_lps=k)).fingerprint() for k in (1, 2, 4)]
     elapsed = time.monotonic() - t0
     _verdict(
+        verdicts,
         "C05",
         "partition-transparency",
         prints[0] == prints[1] == prints[2] and elapsed < 120.0,
@@ -213,7 +217,7 @@ def test_c05_results_do_not_depend_on_stripe_count():
     )
 
 
-def test_c06_entities_are_conserved_across_eight_spawns():
+def test_c06_entities_are_conserved_across_eight_spawns(verdicts):
     schedule = (
         SpawnTrigger(2, 0, 3),
         SpawnTrigger(7, 1, 2),
@@ -237,6 +241,7 @@ def test_c06_entities_are_conserved_across_eight_spawns():
     broken = [r.timestep for r in result.reports if r.active + r.delegated != cfg.num_ses]
     whole = set(result.entities) == set(range(cfg.num_ses))
     _verdict(
+        verdicts,
         "C06",
         "conservation",
         not broken and whole and len(result.session_logs) == 8 and len(result.reports) == 40,
@@ -244,7 +249,7 @@ def test_c06_entities_are_conserved_across_eight_spawns():
     )
 
 
-def test_c07_sessions_are_lock_step_and_transport_invariant():
+def test_c07_sessions_are_lock_step_and_transport_invariant(verdicts):
     base = SimConfig(
         num_ses=40,
         density=4e-4,
@@ -298,6 +303,7 @@ def test_c07_sessions_are_lock_step_and_transport_invariant():
     )
 
     _verdict(
+        verdicts,
         "C07",
         "protocol-invariance",
         same_bytes and lock_step and violations_flagged,
@@ -306,7 +312,7 @@ def test_c07_sessions_are_lock_step_and_transport_invariant():
     )
 
 
-def test_c08_discovered_routes_match_graph_distance_everywhere():
+def test_c08_discovered_routes_match_graph_distance_everywhere(verdicts):
     side = 10
     scenario = GridScenario.build(side, destination=0)
     n = side * side
@@ -333,6 +339,7 @@ def test_c08_discovered_routes_match_graph_distance_everywhere():
                 mismatches += 1
     corner = discover_route(scenario, 0, n - 1)
     _verdict(
+        verdicts,
         "C08",
         "grid-discovery",
         pairs == 9900 and mismatches == 0 and corner == 18,
@@ -340,7 +347,7 @@ def test_c08_discovered_routes_match_graph_distance_everywhere():
     )
 
 
-def test_c09_guided_walk_arrives_on_schedule():
+def test_c09_guided_walk_arrives_on_schedule(verdicts):
     seed = 424242
     side, fine = 10, 100
     start = (200.0, 200.0)
@@ -392,6 +399,7 @@ def test_c09_guided_walk_arrives_on_schedule():
             arrived_at = i + 1
             break
     _verdict(
+        verdicts,
         "C09",
         "guidance-convergence",
         rec is not None
@@ -403,7 +411,7 @@ def test_c09_guided_walk_arrives_on_schedule():
     )
 
 
-def test_c10_activations_only_add_time():
+def test_c10_activations_only_add_time(verdicts):
     t0 = time.monotonic()
     # Every activation delegates one mobile entity, whose walk costs one
     # loop step per fine step; beacons and duplicate route requests cost
@@ -432,6 +440,7 @@ def test_c10_activations_only_add_time():
     decomposed = all(r["total_wct_mean"] >= r["l0_only_wct_mean"] for r in rows)
     sessions = [r["n_l1_sessions"] for r in rows]
     _verdict(
+        verdicts,
         "C10",
         "activation-cost",
         all_ok and monotone and decomposed and sessions == [0, 1, 2, 4, 8] and elapsed < 600.0,
@@ -440,10 +449,10 @@ def test_c10_activations_only_add_time():
     )
 
 
-def test_c11_concurrent_sessions_beat_sequential_ones():
+def test_c11_concurrent_sessions_beat_sequential_ones(verdicts):
     threads = os.cpu_count() or 1
     if threads < 8:
-        _skip("C11", "concurrency-win", f"needs >= 8 hardware threads, found {threads}")
+        _skip(verdicts, "C11", "concurrency-win", f"needs >= 8 hardware threads, found {threads}")
     common = dict(
         num_ses=1000,
         total_timesteps=100,
@@ -465,6 +474,7 @@ def test_c11_concurrent_sessions_beat_sequential_ones():
     mean_conc = sum(conc_wct) / 3
     mean_seq = sum(seq_wct) / 3
     _verdict(
+        verdicts,
         "C11",
         "concurrency-win",
         mean_conc < mean_seq,
@@ -472,9 +482,9 @@ def test_c11_concurrent_sessions_beat_sequential_ones():
     )
 
 
-def test_c12_memory_grows_with_population_not_with_sessions():
+def test_c12_memory_grows_with_population_not_with_sessions(verdicts):
     if measure_peak_memory() is None:
-        _skip("C12", "memory-scaling", "no peak-RSS facility on this host")
+        _skip(verdicts, "C12", "memory-scaling", "no peak-RSS facility on this host")
     base = SimConfig(
         total_timesteps=60,
         generation_prob=0.003,
@@ -493,6 +503,7 @@ def test_c12_memory_grows_with_population_not_with_sessions():
     enough = len(l1) == 2 * len(values)
     spread = (max(l1) - min(l1)) / (sum(l1) / len(l1)) if enough else float("inf")
     _verdict(
+        verdicts,
         "C12",
         "memory-scaling",
         monotone and enough and spread < 0.25,

@@ -11,10 +11,17 @@ them.  A change that alters them on purpose must say so and re-pin.
 below cover them: the sha256 of every loopback line, both directions, of
 every session.  They were recorded from the engine that still queued one
 event per grid beacon, before beacons were counted in closed form.
+
+The benchmark pins its own digests, one per workload input, in
+``perfbench/digests.json``; the last test checks benchmark seed 0's inputs
+against that file here too.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +126,22 @@ def test_session_transcripts_match_pin(config, digest):
         for direction, line in log.transcript:
             h.update(direction.encode() + b" " + line)
     assert h.hexdigest() == digest
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_seed_0_matches_its_pinned_digests(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    pins = json.loads((PERFBENCH / "digests.json").read_text())
+    got, want = {}, {}
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        for index in range(workload.inputs):
+            seed = workload.config_seed(0, index)
+            got[name, seed] = workloads.digest(run_simulation(workload.config(seed)))
+            want[name, seed] = pins[name][str(seed)]
+    assert len(got) == 10
+    assert got == want

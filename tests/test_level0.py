@@ -1,5 +1,6 @@
 """Coarse engine: partitioning, delivery, delegation, and failure paths."""
 
+import csv
 import os
 import subprocess
 import threading
@@ -9,6 +10,7 @@ from dataclasses import replace
 import pytest
 from test_fingerprint_pin import PINS
 
+import iotsim.cli as cli
 import iotsim.level0 as level0
 import iotsim.level1 as level1
 from iotsim.config import SimConfig, SpawnTrigger
@@ -115,7 +117,7 @@ def test_fingerprint_is_reproducible_and_seed_sensitive():
 
 
 @pytest.mark.parametrize("num_lps", [2, 4])
-def test_stepwise_driver_matches_run_for_any_stripe_count(num_lps):
+def test_stepwise_driver_matches_run_for_any_stripe_count(num_lps, tmp_path):
     cfg = SimConfig(
         num_ses=120,
         num_lps=num_lps,
@@ -132,8 +134,17 @@ def test_stepwise_driver_matches_run_for_any_stripe_count(num_lps):
     assert [len(r.lp_wct) for r in stepped] == [num_lps] * cfg.total_timesteps
     assert stepped[1].delegated == 2 * num_lps and len(engine.session_logs) == num_lps + 1
     # Everything but the timings.
-    run = run_simulation(cfg).reports
-    assert [replace(r, lp_wct=()) for r in stepped] == [replace(r, lp_wct=()) for r in run]
+    result = run_simulation(cfg)
+    run = result.reports
+    untimed = dict(deliver_wct=0.0, lp_wct=())
+    assert [replace(r, **untimed) for r in stepped] == [replace(r, **untimed) for r in run]
+    # The report CSV's step time is the world-wide deliver plus the slowest LP.
+    out = tmp_path / "steps.csv"
+    cli._write_report_csv(result, str(out))
+    rows = list(csv.DictReader(out.open()))
+    assert [float(row["step_wct"]) for row in rows] == [
+        pytest.approx(r.deliver_wct + max(r.lp_wct), abs=1e-6) for r in run
+    ]
 
 
 # -- delegation lifecycle ---------------------------------------------------------
@@ -620,7 +631,7 @@ def test_relayed_copies_spend_one_hop_per_step():
     first_seen: dict = {}
     hop_counts = set()
     for t in range(cfg.total_timesteps):
-        for msg_id, sender, ttl, _, _ in engine._inbox[t % 2][0][0]:
+        for msg_id, sender, ttl, _, _ in engine._staged:
             hops = t - first_seen.setdefault(msg_id, t)
             assert ttl == cfg.ttl - hops, (msg_id, sender, t)
             hop_counts.add(hops)
