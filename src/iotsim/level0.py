@@ -575,7 +575,7 @@ def _drive_loopback(init: Init, t: int, transcript):
         failure = exc  # a crash shows here only as a closed connection
     finally:
         client_side.close()
-        thread.join(timeout=30)
+        thread.join(timeout=DEFAULT_TIMEOUT)
     if server_exc and not isinstance(server_exc[0], ProtocolError):
         crash = server_exc[0]
         raise SimulationError(f"instance crashed: {type(crash).__name__}: {crash}") from crash

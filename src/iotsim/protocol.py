@@ -13,8 +13,10 @@ One session per instance, strict request/response over a byte stream:
     either     ERROR        {"type":"ERROR","code":...,"detail":...}
 
 Every message is one minified JSON object per line, LF-terminated, fixed key
-order, so identical sessions produce byte-identical transcripts on any
-transport.  Entity records carry {"id","x","y","kind"} in INIT and
+order.  There is one transport, a byte-line stream over a connected socket:
+loopback sessions use an in-process socket pair, TCP sessions a connection
+to a child, so identical sessions produce byte-identical transcripts on
+either.  Entity records carry {"id","x","y","kind"} in INIT and
 additionally {"arrived","hops"} in status reports; coordinates are written
 with at most 6 fractional digits.
 """
@@ -22,10 +24,8 @@ with at most 6 fractional digits.
 from __future__ import annotations
 
 import json
-import queue
 import socket
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -274,49 +274,30 @@ def decode(line: bytes) -> CoordMessage:
 
 
 # ---------------------------------------------------------------------------
-# Transports
+# Transport
 
 
 class Transport:
-    """Byte-line transport; when ``transcript`` is set every line is logged."""
+    """Byte-line transport over a connected stream socket.
 
-    def __init__(self, transcript: Optional[list[tuple[str, bytes]]] = None) -> None:
+    When ``transcript`` is set every line is logged.  A read that timed out
+    leaves the reader unusable; every timeout ends the session anyway.
+    """
+
+    def __init__(self, sock: socket.socket, transcript: Optional[list[tuple[str, bytes]]] = None) -> None:
         self.transcript = transcript
+        self._sock = sock
+        self._reader = sock.makefile("rb")
 
     def send_line(self, data: bytes) -> None:
         if self.transcript is not None:
             self.transcript.append(("send", data))
-        self._send(data)
-
-    def recv_line(self, timeout: float = DEFAULT_TIMEOUT) -> bytes:
-        data = self._recv(timeout)
-        if self.transcript is not None:
-            self.transcript.append(("recv", data))
-        return data
-
-    def _send(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _recv(self, timeout: float) -> bytes:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class TcpTransport(Transport):
-    def __init__(self, sock: socket.socket, transcript=None) -> None:
-        super().__init__(transcript)
-        self._sock = sock
-        self._reader = sock.makefile("rb")
-
-    def _send(self, data: bytes) -> None:
         try:
             self._sock.sendall(data)
         except OSError as exc:
             raise TransportClosed(f"send failed: {exc}") from None
 
-    def _recv(self, timeout: float) -> bytes:
+    def recv_line(self, timeout: float = DEFAULT_TIMEOUT) -> bytes:
         self._sock.settimeout(timeout)
         try:
             line = self._reader.readline()
@@ -326,6 +307,8 @@ class TcpTransport(Transport):
             raise TransportClosed(f"recv failed: {exc}") from None
         if not line:
             raise TransportClosed()
+        if self.transcript is not None:
+            self.transcript.append(("recv", line))
         return line
 
     def close(self) -> None:
@@ -336,62 +319,41 @@ class TcpTransport(Transport):
             pass
 
 
-class LoopbackTransport(Transport):
-    """In-process byte-line pipe; carries the same bytes as a socket would."""
-
-    def __init__(self, inbox: "queue.SimpleQueue", outbox: "queue.SimpleQueue", transcript=None) -> None:
-        super().__init__(transcript)
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-
-    def _send(self, data: bytes) -> None:
-        if self._closed:
-            raise TransportClosed("loopback closed")
-        self._outbox.put(data)
-
-    def _recv(self, timeout: float) -> bytes:
-        try:
-            data = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportTimeout() from None
-        if data is None:
-            raise TransportClosed()
-        return data
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(None)
+def loopback_pair(transcript_a=None, transcript_b=None) -> tuple[Transport, Transport]:
+    """Two connected ends of an in-process socket pair."""
+    sock_a, sock_b = socket.socketpair()
+    return Transport(sock_a, transcript_a), Transport(sock_b, transcript_b)
 
 
-def loopback_pair(
-    transcript_a=None, transcript_b=None
-) -> tuple[LoopbackTransport, LoopbackTransport]:
-    q_ab: queue.SimpleQueue = queue.SimpleQueue()
-    q_ba: queue.SimpleQueue = queue.SimpleQueue()
-    a = LoopbackTransport(inbox=q_ba, outbox=q_ab, transcript=transcript_a)
-    b = LoopbackTransport(inbox=q_ab, outbox=q_ba, transcript=transcript_b)
-    return a, b
-
-
-def connect_tcp(port: int, host: str = "127.0.0.1", deadline: float = 10.0, transcript=None) -> TcpTransport:
-    """Connect to an instance server, retrying briefly while it starts up."""
-    t0 = time.monotonic()
-    last: Optional[OSError] = None
-    while time.monotonic() - t0 < deadline:
-        try:
-            sock = socket.create_connection((host, port), timeout=deadline)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return TcpTransport(sock, transcript=transcript)
-        except OSError as exc:
-            last = exc
-            time.sleep(0.02)
-    raise TransportClosed(f"could not connect to {host}:{port}: {last}")
+def connect_tcp(port: int, transcript=None) -> Transport:
+    """Connect to an instance server that has already printed its ``PORT=``."""
+    try:
+        sock = socket.create_connection(("127.0.0.1", port), timeout=DEFAULT_TIMEOUT)
+    except OSError as exc:
+        raise TransportClosed(f"could not connect to 127.0.0.1:{port}: {exc}") from None
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return Transport(sock, transcript)
 
 
 # ---------------------------------------------------------------------------
 # Session endpoints
+
+
+def _recv_message(transport: Transport, timeout: float) -> CoordMessage:
+    """The peer's next message; a peer's ERROR is raised as ProtocolError."""
+    msg = decode(transport.recv_line(timeout))
+    if isinstance(msg, Error):
+        raise ProtocolError(msg.code, msg.detail)
+    return msg
+
+
+def _fail(transport: Transport, code: str, detail: str) -> ProtocolError:
+    """Tell the peer before giving up, best effort; returns the error to raise."""
+    try:
+        transport.send_line(encode(Error(code, detail)))
+    except ProtocolError:
+        pass
+    return ProtocolError(code, detail)
 
 
 class SessionClient:
@@ -403,26 +365,12 @@ class SessionClient:
         self._init_ids: Optional[list[int]] = None
         self._done = False
 
-    def _recv(self) -> CoordMessage:
-        msg = decode(self.transport.recv_line(self.timeout))
-        if isinstance(msg, Error):
-            raise ProtocolError(msg.code, msg.detail)
-        return msg
-
-    def _fail(self, code: str, detail: str) -> ProtocolError:
-        # Tell the peer before giving up, best effort.
-        try:
-            self.transport.send_line(encode(Error(code, detail)))
-        except ProtocolError:
-            pass
-        return ProtocolError(code, detail)
-
     def handshake(self, init: Init) -> None:
-        msg = self._recv()
+        msg = _recv_message(self.transport, self.timeout)
         if not isinstance(msg, Hello):
-            raise self._fail("protocol-violation", f"expected HELLO, got {type(msg).__name__}")
+            raise _fail(self.transport, "protocol-violation", f"expected HELLO, got {type(msg).__name__}")
         if msg.version != PROTOCOL_VERSION:
-            raise self._fail("version-mismatch", f"peer speaks version {msg.version}")
+            raise _fail(self.transport, "version-mismatch", f"peer speaks version {msg.version}")
         self._init_ids = sorted(r.id for r in init.entities)
         self.transport.send_line(encode(init))
 
@@ -430,25 +378,27 @@ class SessionClient:
         if self._init_ids is None or self._done:
             raise ProtocolError("protocol-violation", "CONTINUE outside an open session")
         self.transport.send_line(encode(Continue(timestep)))
-        msg = self._recv()
+        msg = _recv_message(self.transport, self.timeout)
         if not isinstance(msg, StepResult):
-            raise self._fail("protocol-violation", f"expected STEP_RESULT, got {type(msg).__name__}")
+            detail = f"expected STEP_RESULT, got {type(msg).__name__}"
+            raise _fail(self.transport, "protocol-violation", detail)
         if msg.timestep != timestep:
-            raise self._fail("protocol-violation", f"STEP_RESULT for {msg.timestep}, wanted {timestep}")
+            detail = f"STEP_RESULT for {msg.timestep}, wanted {timestep}"
+            raise _fail(self.transport, "protocol-violation", detail)
         if sorted(r.id for r in msg.entities) != self._init_ids:
-            raise self._fail("entity-mismatch", "STEP_RESULT entity ids differ from INIT")
+            raise _fail(self.transport, "entity-mismatch", "STEP_RESULT entity ids differ from INIT")
         return msg
 
     def finish(self) -> Final:
         if self._init_ids is None or self._done:
             raise ProtocolError("protocol-violation", "END outside an open session")
         self.transport.send_line(encode(End()))
-        msg = self._recv()
+        msg = _recv_message(self.transport, self.timeout)
         if not isinstance(msg, Final):
-            raise self._fail("protocol-violation", f"expected FINAL, got {type(msg).__name__}")
+            raise _fail(self.transport, "protocol-violation", f"expected FINAL, got {type(msg).__name__}")
         # A multiset compare: a repeated id is a mismatch too.
         if sorted(r.id for r in msg.entities) != self._init_ids:
-            raise self._fail("entity-mismatch", "FINAL entity ids differ from INIT")
+            raise _fail(self.transport, "entity-mismatch", "FINAL entity ids differ from INIT")
         self._done = True
         return msg
 
@@ -478,35 +428,24 @@ def serve_session(
     process exit.
     """
 
-    def fail(code: str, detail: str) -> ProtocolError:
-        try:
-            transport.send_line(encode(Error(code, detail)))
-        except ProtocolError:
-            pass
-        return ProtocolError(code, detail)
-
     def answer(handler: Callable[[], tuple[tuple[EntityRecord, ...], Counters]]):
         try:
             return handler()
         except Exception as exc:
-            fail("instance-failed", f"{type(exc).__name__}: {exc}")
+            _fail(transport, "instance-failed", f"{type(exc).__name__}: {exc}")
             raise
 
     transport.send_line(encode(Hello()))
-    msg = decode(transport.recv_line(timeout))
-    if isinstance(msg, Error):
-        raise ProtocolError(msg.code, msg.detail)
+    msg = _recv_message(transport, timeout)
     if not isinstance(msg, Init):
-        raise fail("protocol-violation", f"expected INIT, got {type(msg).__name__}")
+        raise _fail(transport, "protocol-violation", f"expected INIT, got {type(msg).__name__}")
     try:
         handlers = make_instance(msg)
     except Exception as exc:
-        raise fail("init-failed", str(exc)) from exc
+        raise _fail(transport, "init-failed", str(exc)) from exc
 
     while True:
-        msg = decode(transport.recv_line(timeout))
-        if isinstance(msg, Error):
-            raise ProtocolError(msg.code, msg.detail)
+        msg = _recv_message(transport, timeout)
         if isinstance(msg, Continue):
             entities, counters = answer(lambda: handlers.run_step(msg.timestep))
             transport.send_line(encode(StepResult(msg.timestep, entities, counters)))
@@ -515,7 +454,7 @@ def serve_session(
             transport.send_line(encode(Final(entities, counters)))
             return
         else:
-            raise fail("protocol-violation", f"expected CONTINUE or END, got {type(msg).__name__}")
+            raise _fail(transport, "protocol-violation", f"expected CONTINUE or END, got {type(msg).__name__}")
 
 
 def measure_peak_memory() -> Optional[int]:
@@ -572,7 +511,7 @@ def serve_tcp(
     finally:
         listener.close()
 
-    transport = TcpTransport(conn)
+    transport = Transport(conn)
     try:
         serve_session(transport, make_checked)
     except ProtocolError as exc:

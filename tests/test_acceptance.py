@@ -301,6 +301,8 @@ def test_c07_sessions_are_lock_step_and_transport_invariant(verdicts):
         and answered.code == "protocol-violation"
         and client_err == "protocol-violation"
     )
+    for end in (client_t, server_t, client_t2, server_t2):
+        end.close()
 
     _verdict(
         verdicts,

@@ -141,7 +141,8 @@ def test_stepwise_driver_matches_run_for_any_stripe_count(num_lps, tmp_path):
     # The report CSV's step time is the world-wide deliver plus the slowest LP.
     out = tmp_path / "steps.csv"
     cli._write_report_csv(result, str(out))
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert [float(row["step_wct"]) for row in rows] == [
         pytest.approx(r.deliver_wct + max(r.lp_wct), abs=1e-6) for r in run
     ]
@@ -508,6 +509,22 @@ def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
     # It would sleep for a minute: gone now means killed, and not a zombie means reaped.
     (pid,) = seen["pids"]
     assert _gone(pid)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_loopback_run_leaks_no_descriptor():
+    cfg = replace(
+        _TCP_RUN,
+        num_ses=40,
+        density=1e-3,
+        num_lps=2,
+        total_timesteps=3,
+        l1_schedule=(SpawnTrigger(0, 0, 2), SpawnTrigger(1, 0, 2), SpawnTrigger(1, 1, 2)),
+        l1_transport="loopback",
+    )
+    before = len(os.listdir("/proc/self/fd"))
+    assert len(run_simulation(cfg).session_logs) == 3
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_loopback_instance_crash_names_its_cause(monkeypatch):

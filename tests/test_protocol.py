@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -19,9 +20,10 @@ from iotsim.protocol import (
     ProtocolError,
     SessionClient,
     StepResult,
-    TcpTransport,
+    Transport,
     TransportClosed,
     TransportTimeout,
+    connect_tcp,
     decode,
     encode,
     loopback_pair,
@@ -125,10 +127,27 @@ def test_decode_rejects_malformed_lines(line, code):
 # -- transports ---------------------------------------------------------------
 
 
-def test_loopback_timeout_and_close():
-    a, b = loopback_pair()
+@pytest.fixture
+def pair():
+    """Makes loopback pairs and closes both ends of each after the test."""
+    made = []
+
+    def make(**transcripts):
+        ends = loopback_pair(**transcripts)
+        made.extend(ends)
+        return ends
+
+    yield make
+    for end in made:
+        end.close()
+
+
+def test_loopback_timeout_and_close(pair):
+    a, _ = pair()
     with pytest.raises(TransportTimeout):
         a.recv_line(timeout=0.05)
+    # A reader that timed out is not read again: a fresh pair for the rest.
+    a, b = pair()
     b.send_line(b"ping\n")
     assert a.recv_line(timeout=1) == b"ping\n"
     b.close()
@@ -136,9 +155,26 @@ def test_loopback_timeout_and_close():
         a.recv_line(timeout=1)
 
 
-def test_transcripts_log_both_directions():
+def test_loopback_frames_lines_like_tcp(pair):
+    a, b = pair()
+    a.send_line(b"a\nb\n")
+    assert b.recv_line(timeout=1) == b"a\n"
+    assert b.recv_line(timeout=1) == b"b\n"
+
+
+def test_refused_connect_fails_at_once_naming_the_port():
+    with socket.socket() as bound:
+        bound.bind(("127.0.0.1", 0))  # bound but not listening: connect is refused
+        port = bound.getsockname()[1]
+        started = time.perf_counter()
+        with pytest.raises(TransportClosed, match=f"127.0.0.1:{port}"):
+            connect_tcp(port)
+    assert time.perf_counter() - started < 2.0  # no retrying
+
+
+def test_transcripts_log_both_directions(pair):
     log_a, log_b = [], []
-    a, b = loopback_pair(transcript_a=log_a, transcript_b=log_b)
+    a, b = pair(transcript_a=log_a, transcript_b=log_b)
     a.send_line(b"x\n")
     b.recv_line(timeout=1)
     b.send_line(b"y\n")
@@ -182,8 +218,8 @@ def _sample_init(n=2):
     )
 
 
-def test_full_session_lock_step():
-    client_t, server_t = loopback_pair()
+def test_full_session_lock_step(pair):
+    client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, _echo_handlers)
     client = SessionClient(client_t, timeout=5)
     client.handshake(_sample_init())
@@ -197,9 +233,9 @@ def test_full_session_lock_step():
     assert errors == []
 
 
-def test_server_rejects_wrong_first_message():
-    client_t, server_t = loopback_pair()
-    # Preload the wrong opener; queues are buffered so no thread is needed.
+def test_server_rejects_wrong_first_message(pair):
+    client_t, server_t = pair()
+    # Preload the wrong opener; the socket buffers it, so no thread is needed.
     client_t.send_line(encode(StepResult(0, (), Counters())))
     with pytest.raises(ProtocolError) as excinfo:
         serve_session(server_t, _echo_handlers, timeout=1)
@@ -209,8 +245,8 @@ def test_server_rejects_wrong_first_message():
     assert isinstance(err, Error) and err.code == "protocol-violation"
 
 
-def test_server_rejects_continue_after_end():
-    client_t, server_t = loopback_pair()
+def test_server_rejects_continue_after_end(pair):
+    client_t, server_t = pair()
     client_t.send_line(encode(_sample_init()))
     client_t.send_line(encode(End()))
     serve_session(server_t, _echo_handlers, timeout=1)  # completes cleanly
@@ -218,8 +254,8 @@ def test_server_rejects_continue_after_end():
     assert isinstance(decode(client_t.recv_line(timeout=1)), Final)
 
 
-def test_client_rejects_wrong_handshake():
-    client_t, server_t = loopback_pair()
+def test_client_rejects_wrong_handshake(pair):
+    client_t, server_t = pair()
     server_t.send_line(encode(Continue(1)))
     client = SessionClient(client_t, timeout=1)
     with pytest.raises(ProtocolError) as excinfo:
@@ -227,8 +263,8 @@ def test_client_rejects_wrong_handshake():
     assert excinfo.value.code == "protocol-violation"
 
 
-def test_client_rejects_version_mismatch():
-    client_t, server_t = loopback_pair()
+def test_client_rejects_version_mismatch(pair):
+    client_t, server_t = pair()
     server_t.send_line(encode(Hello(version=2)))
     client = SessionClient(client_t, timeout=1)
     with pytest.raises(ProtocolError) as excinfo:
@@ -236,8 +272,8 @@ def test_client_rejects_version_mismatch():
     assert excinfo.value.code == "version-mismatch"
 
 
-def test_client_rejects_step_result_for_wrong_timestep():
-    client_t, server_t = loopback_pair()
+def test_client_rejects_step_result_for_wrong_timestep(pair):
+    client_t, server_t = pair()
     server_t.send_line(encode(Hello()))
     server_t.send_line(encode(StepResult(9, (), Counters())))
     client = SessionClient(client_t, timeout=1)
@@ -247,7 +283,7 @@ def test_client_rejects_step_result_for_wrong_timestep():
     assert excinfo.value.code == "protocol-violation"
 
 
-def test_client_rejects_final_with_changed_ids():
+def test_client_rejects_final_with_changed_ids(pair):
     def bad_final(init: Init) -> InstanceHandlers:
         good = tuple(EntityRecord(r.id, r.x, r.y, r.kind) for r in init.entities)
         swapped = (EntityRecord(999, 0.0, 0.0, "static"),)
@@ -256,7 +292,7 @@ def test_client_rejects_final_with_changed_ids():
             finalize=lambda: (swapped, Counters()),
         )
 
-    client_t, server_t = loopback_pair()
+    client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, bad_final)
     client = SessionClient(client_t, timeout=5)
     client.handshake(_sample_init())
@@ -270,7 +306,7 @@ def test_client_rejects_final_with_changed_ids():
     assert errors == []
 
 
-def test_client_rejects_final_that_repeats_an_id():
+def test_client_rejects_final_that_repeats_an_id(pair):
     def repeated_final(init: Init) -> InstanceHandlers:
         good = init.entities
         return InstanceHandlers(
@@ -278,7 +314,7 @@ def test_client_rejects_final_that_repeats_an_id():
             finalize=lambda: (good + good[:1], Counters()),
         )
 
-    client_t, server_t = loopback_pair()
+    client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, repeated_final)
     client = SessionClient(client_t, timeout=5)
     client.handshake(_sample_init())
@@ -290,7 +326,7 @@ def test_client_rejects_final_that_repeats_an_id():
     assert errors == []
 
 
-def test_client_rejects_step_result_with_changed_ids():
+def test_client_rejects_step_result_with_changed_ids(pair):
     def bad_step(init: Init) -> InstanceHandlers:
         good = init.entities
         return InstanceHandlers(
@@ -298,7 +334,7 @@ def test_client_rejects_step_result_with_changed_ids():
             finalize=lambda: (good, Counters()),
         )
 
-    client_t, server_t = loopback_pair()
+    client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, bad_step)
     client = SessionClient(client_t, timeout=5)
     client.handshake(_sample_init())
@@ -312,7 +348,7 @@ def test_client_rejects_step_result_with_changed_ids():
 
 
 @pytest.mark.parametrize("crash_in", ["run_step", "finalize"])
-def test_instance_crash_is_answered_on_the_wire(crash_in):
+def test_instance_crash_is_answered_on_the_wire(crash_in, pair):
     def crash(*_):
         raise KeyError("lost entity 42")
 
@@ -321,7 +357,7 @@ def test_instance_crash_is_answered_on_the_wire(crash_in):
         setattr(handlers, crash_in, crash)
         return handlers
 
-    client_t, server_t = loopback_pair()
+    client_t, server_t = pair()
     for msg in (_sample_init(), Continue(0), End()):
         client_t.send_line(encode(msg))
     # Raised as itself, so the instance's host can name the cause too.
@@ -334,8 +370,8 @@ def test_instance_crash_is_answered_on_the_wire(crash_in):
     assert len(lines) == (1 if crash_in == "run_step" else 2)  # HELLO, then any STEP_RESULT
 
 
-def test_error_reply_propagates_to_caller():
-    client_t, server_t = loopback_pair()
+def test_error_reply_propagates_to_caller(pair):
+    client_t, server_t = pair()
     server_t.send_line(encode(Error("instance-failed", "boom")))
     client = SessionClient(client_t, timeout=1)
     with pytest.raises(ProtocolError) as excinfo:
@@ -357,17 +393,17 @@ def _run_session_collect(client_t, server_t, init, steps=2):
     assert errors == []
 
 
-def test_tcp_and_loopback_transcripts_are_byte_identical():
+def test_tcp_and_loopback_transcripts_are_byte_identical(pair):
     init = _sample_init()
 
     loop_log: list = []
-    client_t, server_t = loopback_pair(transcript_a=loop_log)
+    client_t, server_t = pair(transcript_a=loop_log)
     _run_session_collect(client_t, server_t, init)
 
     tcp_log: list = []
-    sock_a, sock_b = socket.socketpair()
-    client_t = TcpTransport(sock_a, transcript=tcp_log)
-    server_t = TcpTransport(sock_b)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client_t = connect_tcp(listener.getsockname()[1], transcript=tcp_log)
+        server_t = Transport(listener.accept()[0])
     try:
         _run_session_collect(client_t, server_t, init)
     finally:
