@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, sweep, l1-server."""
+"""Command-line front end: simulate, sweep."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from typing import Optional
 from .bench import SWEEP_OPTIONS, ExperimentPlan, collect_metrics, measure_peak_memory, run_experiment
 from .config import OPTIONS, ConfigError, SimConfig, parse_option, read_config_file, read_key_values
 from .level0 import SimulationError, run_simulation
-from .level1 import add_server_flags, serve_from_args
 from .protocol import ProtocolError
 
 # Sweeps default to desk scale; single runs keep the reference workload.
@@ -165,8 +164,6 @@ def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     plan, in_process = read_plan_file(args.plan)
-    if args.in_process:
-        in_process = True
     rows = run_experiment(plan, out_path=args.out, in_process=in_process)
     failed = [r for r in rows if r["status"] == "failed"]
     if failed:
@@ -191,17 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run an experiment plan")
-    p_sweep.add_argument("plan", help="plan file: axis=, values=, reps=, plus config keys")
+    p_sweep.add_argument("plan", help="plan file: axis=, values=, reps=, mode=, plus config keys")
     p_sweep.add_argument("--out", default="-", metavar="CSV", help="output table ('-' = stdout)")
-    p_sweep.add_argument(
-        "--in-process", action="store_true", help="run repetitions in this process (no fresh-process RSS)"
-    )
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    # The same serve_tcp each session child of the engine's template runs.
-    p_srv = sub.add_parser("l1-server", help="serve one fine-grained session over TCP")
-    add_server_flags(p_srv)
-    p_srv.set_defaults(func=serve_from_args)
     return parser
 
 

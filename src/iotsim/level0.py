@@ -546,7 +546,9 @@ def run_simulation(
 # -- session transports -------------------------------------------------------
 
 
-def _drive_session(client: SessionClient, init: Init, t: int):
+def _drive_session(transport: Transport, init: Init, t: int):
+    # Read at call time: a patched DEFAULT_TIMEOUT bounds the client's reads too.
+    client = SessionClient(transport, timeout=DEFAULT_TIMEOUT)
     client.handshake(init)
     client.step(t)
     return client.finish()
@@ -570,7 +572,7 @@ def _drive_loopback(init: Init, t: int, transcript):
     thread.start()
     failure: Optional[ProtocolError] = None
     try:
-        final = _drive_session(SessionClient(client_side), init, t)
+        final = _drive_session(client_side, init, t)
     except ProtocolError as exc:
         failure = exc  # a crash shows here only as a closed connection
     finally:
@@ -589,9 +591,10 @@ class SessionTemplate:
 
     The template imports the fine level once, so a session costs a fork, not
     an interpreter start.  Requests go over a SOCK_SEQPACKET socket pair whose
-    other end is the template's stdin; each carries one end of a fresh socket
-    pair, on which the child reports (see ``level1.serve_forks``).  The
-    engine itself never forks: it holds threads and numpy.
+    other end is the template's stdin; each carries the server end of the
+    session's TCP connection, which the engine made, and one end of a fresh
+    socket pair, on which the child reports (see ``level1.serve_forks``).
+    The engine itself never forks: it holds threads and numpy.
     """
 
     def __init__(self) -> None:
@@ -601,39 +604,32 @@ class SessionTemplate:
                 [sys.executable, "-m", "iotsim.level1"], stdin=theirs, stdout=subprocess.DEVNULL
             )
 
-    def start(self, instance_id: str) -> tuple[int, int, TextIO]:
-        """Fork a child to serve ``instance_id`` and wait until it listens.
+    def start(self, instance_id: str, conn: socket.socket) -> tuple[int, TextIO]:
+        """Fork a child to serve ``instance_id`` on ``conn``, the server end of
+        its TCP connection, and wait for its pid.
 
-        Returns the child's pid, its TCP port and the reader of its remaining
-        report lines.
+        ``conn`` is closed here, so the child holds the only server end: the
+        engine's end reads EOF once the child is gone.  Returns the child's pid
+        and the reader of its remaining report lines.
         """
         ours, theirs = socket.socketpair()
-        with theirs:
+        with conn, theirs:
             try:
-                socket.send_fds(self._control, [instance_id.encode()], [theirs.fileno()])
+                socket.send_fds(self._control, [instance_id.encode()], [theirs.fileno(), conn.fileno()])
             except OSError as exc:
                 ours.close()
                 raise SimulationError(f"the session template is gone: {exc}") from None
         ours.settimeout(DEFAULT_TIMEOUT)
         reports = ours.makefile("r", encoding="utf-8", errors="replace")
         ours.close()  # the reader keeps the socket open
-        pid: Optional[int] = None
         try:
-            lines = _report_lines(reports, "did not report a port")
-            first = next(lines, "")
+            first = next(_report_lines(reports, "did not start"), "")
             if not first.startswith("PID="):
                 raise SimulationError(f"instance did not start: {first}")
-            pid = int(first[4:])
-            text = []
-            for line in lines:
-                if line.startswith("PORT="):
-                    return pid, int(line[5:]), reports
-                text.append(line)
-            raise SimulationError("instance did not report a port: " + "\n".join(text))
         except BaseException:
-            _kill(pid)
             reports.close()
             raise
+        return int(first[4:]), reports
 
     def close(self) -> None:
         """EOF on the control socket: the template kills and reaps what is left, then exits."""
@@ -667,13 +663,14 @@ def _kill(pid: Optional[int]) -> None:
 
 
 def _drive_subprocess(init: Init, t: int, transcript, template: SessionTemplate):
-    pid, port, reports = template.start(init.instance_id)
-    transport: Optional[Transport] = None
+    transport, conn = connect_tcp(transcript=transcript)
+    pid: Optional[int] = None
+    reports: Optional[TextIO] = None
     closed: Optional[ProtocolError] = None
     try:
-        transport = connect_tcp(port, transcript=transcript)
+        pid, reports = template.start(init.instance_id, conn)
         try:
-            final = _drive_session(SessionClient(transport), init, t)
+            final = _drive_session(transport, init, t)
         except ProtocolError as exc:
             if not isinstance(exc, TransportClosed) and exc.code != "instance-failed":
                 raise
@@ -683,9 +680,9 @@ def _drive_subprocess(init: Init, t: int, transcript, template: SessionTemplate)
         _kill(pid)
         raise
     finally:
-        if transport is not None:
-            transport.close()
-        reports.close()
+        transport.close()
+        if reports is not None:
+            reports.close()
     status, child_rss, text = None, None, []
     for line in lines:
         key, _, value = line.partition("=")

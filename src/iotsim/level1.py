@@ -28,7 +28,16 @@ from enum import IntEnum
 from typing import Iterable, Optional
 
 from . import rng
-from .protocol import Counters, EntityRecord, Init, InstanceHandlers, serve_tcp
+from .protocol import (
+    Counters,
+    EntityRecord,
+    Init,
+    InstanceHandlers,
+    ProtocolError,
+    Transport,
+    measure_peak_memory,
+    serve_session,
+)
 
 GRID_SPACING = 20.0
 # In [spacing, spacing*sqrt(2)): grid radio links are exactly 4-adjacent.
@@ -41,8 +50,6 @@ ARRIVAL_RADIUS = 1.0
 QUERY_RETRY_TICKS = 50
 QUERY_RETRY_LIMIT = 8
 QUEUE_LIMIT = 1_000_000
-# How long a session server waits for the engine to connect, in seconds.
-ACCEPT_TIMEOUT = 60.0
 # Grids anchored within this of the origin, in both coordinates, take their
 # links from the per-shape table (see ``_offset_links``).  A torus of 10**8
 # SEs at the default density is 10**6 wide, so sessions of any run up to that
@@ -511,17 +518,6 @@ def make_handlers(init: Init) -> InstanceHandlers:
     return InstanceHandlers(run_step=inst.run_one_coarse_step, finalize=inst.finalize)
 
 
-def add_server_flags(parser) -> None:
-    """The TCP server's flags, on an ``argparse`` parser."""
-    parser.add_argument("--port", type=int, default=0, help="listen port (0 = ephemeral)")
-    parser.add_argument("--instance-id", default=None, help="expected instance id")
-    parser.add_argument("--accept-timeout", type=float, default=ACCEPT_TIMEOUT)
-
-
-def serve_from_args(args) -> int:
-    return serve_tcp(make_handlers, args.port, args.instance_id, args.accept_timeout)
-
-
 # -- the session template ------------------------------------------------------
 
 
@@ -529,39 +525,42 @@ def serve_forks(control: socket.socket) -> None:
     """The session template: fork one child per request on ``control``.
 
     A request is one message on a SOCK_SEQPACKET socket: the instance id,
-    carrying one file descriptor, the child's report channel.  The child
-    writes ``PID=<pid>`` there, serves the session with ``serve_tcp`` with
-    the channel as its stdout and stderr (``PORT=``, error text, ``VMHWM=``),
-    writes ``EXIT=<status>`` and ends with ``os._exit``.  At EOF on
-    ``control`` (the engine closed it, or died) every child still running is
-    killed, and all are reaped before this returns.  Call it from a process
-    with one thread: it forks.
+    carrying two file descriptors, the child's report channel and the server
+    end of the TCP connection the engine made for the session.  The child
+    writes ``PID=<pid>`` on the channel, serves the session on the
+    connection with the channel as its stdout and stderr (error text,
+    ``VMHWM=``), writes ``EXIT=<status>`` and ends with ``os._exit``.  At EOF
+    on ``control`` (the engine closed it, or died) every child still running
+    is killed, and all are reaped before this returns.  Call it from a
+    process with one thread: it forks.
     """
     children: set[int] = set()
     try:
         while True:
-            request, fds, _, _ = socket.recv_fds(control, 1024, 1)
+            request, fds, _, _ = socket.recv_fds(control, 1024, 2)
             if not request:
                 return
-            (channel,) = fds
+            channel, conn = fds
             # Reap finished children, so zombies never pile up over a long run.
             children -= {pid for pid in children if os.waitpid(pid, os.WNOHANG)[0]}
             try:
                 pid = os.fork()
             except OSError as exc:
                 os.write(channel, f"fork failed: {exc}\n".encode())
-                os.close(channel)
-                continue
+                pid = None
             if pid == 0:
                 status = 1
                 try:
                     control.close()
-                    status = _serve_child(channel, request.decode())
+                    status = _serve_child(channel, conn, request.decode())
                 finally:
                     # Never unwind into this loop: the child is not a template.
                     os._exit(status)
+            # Only the child keeps the connection: when it dies, the engine sees EOF.
             os.close(channel)
-            children.add(pid)
+            os.close(conn)
+            if pid is not None:
+                children.add(pid)
     finally:
         for pid in children:
             try:
@@ -572,19 +571,37 @@ def serve_forks(control: socket.socket) -> None:
             os.waitpid(pid, 0)
 
 
-def _serve_child(channel: int, instance_id: str) -> int:
-    """One forked child's session, reported on ``channel``; returns its exit status."""
+def _serve_child(channel: int, conn: int, instance_id: str) -> int:
+    """One forked child's session on ``conn``, reported on ``channel``; returns its exit status."""
     os.dup2(channel, 1)
     os.dup2(channel, 2)
     os.close(channel)
     print(f"PID={os.getpid()}", flush=True)
+
+    def make_checked(init: Init) -> InstanceHandlers:
+        if init.instance_id != instance_id:
+            raise ProtocolError(
+                "instance-mismatch",
+                f"serving {instance_id!r} but INIT names {init.instance_id!r}",
+            )
+        return make_handlers(init)
+
     status = 1
+    transport = Transport(socket.socket(fileno=conn))
     try:
-        status = serve_tcp(make_handlers, 0, instance_id, ACCEPT_TIMEOUT)
+        serve_session(transport, make_checked)
+        status = 0
+    except ProtocolError as exc:
+        print(f"session failed: {exc}", file=sys.stderr)
     except Exception:  # noqa: BLE001 - reported to the engine on the channel
         import traceback
 
         traceback.print_exc()
+    finally:
+        transport.close()
+    peak = measure_peak_memory()
+    if peak is not None:
+        print(f"VMHWM={peak}")
     print(f"EXIT={status}", flush=True)
     sys.stderr.flush()
     return status

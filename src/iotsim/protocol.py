@@ -14,18 +14,17 @@ One session per instance, strict request/response over a byte stream:
 
 Every message is one minified JSON object per line, LF-terminated, fixed key
 order.  There is one transport, a byte-line stream over a connected socket:
-loopback sessions use an in-process socket pair, TCP sessions a connection
-to a child, so identical sessions produce byte-identical transcripts on
-either.  Entity records carry {"id","x","y","kind"} in INIT and
-additionally {"arrived","hops"} in status reports; coordinates are written
-with at most 6 fractional digits.
+loopback sessions use an in-process socket pair, TCP sessions a loopback
+TCP connection whose server end is handed to a child, so identical sessions
+produce byte-identical transcripts on either.  Entity records carry
+{"id","x","y","kind"} in INIT and additionally {"arrived","hops"} in status
+reports; coordinates are written with at most 6 fractional digits.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -325,14 +324,24 @@ def loopback_pair(transcript_a=None, transcript_b=None) -> tuple[Transport, Tran
     return Transport(sock_a, transcript_a), Transport(sock_b, transcript_b)
 
 
-def connect_tcp(port: int, transcript=None) -> Transport:
-    """Connect to an instance server that has already printed its ``PORT=``."""
-    try:
-        sock = socket.create_connection(("127.0.0.1", port), timeout=DEFAULT_TIMEOUT)
-    except OSError as exc:
-        raise TransportClosed(f"could not connect to 127.0.0.1:{port}: {exc}") from None
+def connect_tcp(transcript=None) -> tuple[Transport, socket.socket]:
+    """A fresh TCP connection on 127.0.0.1: the engine's transport, and the
+    server's end for the caller to hand to the instance that serves it."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=DEFAULT_TIMEOUT)
+        except OSError as exc:
+            raise TransportClosed(f"could not connect to 127.0.0.1:{port}: {exc}") from None
+        server, peer = listener.accept()
+    if peer != sock.getsockname():  # anyone on the host may connect to the port first
+        server.close()
+        sock.close()
+        raise TransportClosed(f"a stranger at {peer} connected to 127.0.0.1:{port} first")
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return Transport(sock, transcript)
+    return Transport(sock, transcript), server
 
 
 # ---------------------------------------------------------------------------
@@ -474,52 +483,3 @@ def measure_peak_memory() -> Optional[int]:
         if line.startswith("VmHWM:"):
             return int(line.split()[1]) * 1024
     return None
-
-
-def serve_tcp(
-    make_instance: Callable[[Init], InstanceHandlers],
-    port: int,
-    instance_id: Optional[str],
-    accept_timeout: float,
-) -> int:
-    """Instance side over TCP: accept one connection, serve one session.
-
-    Prints ``PORT=<port>`` once listening (the spawner reads it to learn an
-    ephemeral port) and ``VMHWM=<bytes>`` after the session.  An INIT naming
-    another instance than ``instance_id`` is refused.  Returns the exit status.
-    """
-
-    def make_checked(init: Init) -> InstanceHandlers:
-        if instance_id is not None and init.instance_id != instance_id:
-            raise ProtocolError(
-                "instance-mismatch",
-                f"serving {instance_id!r} but INIT names {init.instance_id!r}",
-            )
-        return make_instance(init)
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        listener.bind(("127.0.0.1", port))
-        listener.listen(1)
-        print(f"PORT={listener.getsockname()[1]}", flush=True)
-        listener.settimeout(accept_timeout)
-        try:
-            conn, _ = listener.accept()
-        except socket.timeout:
-            print("no connection arrived", file=sys.stderr)
-            return 1
-    finally:
-        listener.close()
-
-    transport = Transport(conn)
-    try:
-        serve_session(transport, make_checked)
-    except ProtocolError as exc:
-        print(f"session failed: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        transport.close()
-        peak = measure_peak_memory()
-        if peak is not None:
-            print(f"VMHWM={peak}", flush=True)
-    return 0

@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from iotsim.bench import (
 from iotsim.cli import main, read_plan_file
 from iotsim.config import ConfigError, SimConfig, SpawnTrigger
 from iotsim.level0 import run_simulation
-from iotsim.protocol import EntityRecord, Init, SessionClient, connect_tcp
 
 
 def _mini(**kw):
@@ -364,59 +362,6 @@ def test_cli_sweep_runs_plan(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].split(",")[:4] == ["num_ses", "8", "ok", "1"]
     assert lines[2].split(",")[:4] == ["num_ses", "12", "ok", "1"]
-
-
-def _spawn_l1_server(instance_id):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "iotsim", "l1-server", "--port", "0", "--instance-id", instance_id],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    port_line = proc.stdout.readline().strip()
-    assert port_line.startswith("PORT=")
-    return proc, int(port_line.split("=", 1)[1])
-
-
-def test_l1_server_end_to_end():
-    proc, port = _spawn_l1_server("session-1")
-    transport = connect_tcp(port)
-    try:
-        client = SessionClient(transport)
-        init = Init(
-            instance_id="session-1",
-            seed=55,
-            grid_side=4,
-            fine_steps=50,
-            entities=(EntityRecord(1, 30.0, 30.0, "mobile"),),
-        )
-        client.handshake(init)
-        result = client.step(0)
-        assert result.timestep == 0
-        final = client.finish()
-        assert [r.id for r in final.entities] == [1]
-    finally:
-        transport.close()
-    out, err = proc.communicate(timeout=30)
-    assert proc.returncode == 0, err
-    vm_lines = [l for l in out.splitlines() if l.startswith("VMHWM=")]
-    assert vm_lines and int(vm_lines[0].split("=", 1)[1]) > 0
-
-
-def test_l1_server_rejects_wrong_instance_id():
-    proc, port = _spawn_l1_server("expected-id")
-    transport = connect_tcp(port)
-    try:
-        client = SessionClient(transport)
-        init = Init("other-id", 1, 4, 50, ())
-        client.handshake(init)
-        with pytest.raises(Exception) as excinfo:
-            client.step(0)
-        assert "instance-mismatch" in str(excinfo.value)
-    finally:
-        transport.close()
-    out, err = proc.communicate(timeout=30)
-    assert proc.returncode == 1
 
 
 def test_every_name_the_benchmark_traces_resolves(monkeypatch):

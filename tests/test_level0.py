@@ -23,7 +23,7 @@ from iotsim.level0 import (
     run_simulation,
 )
 from iotsim.model import Entity
-from iotsim.protocol import EntityRecord, ProtocolError
+from iotsim.protocol import EntityRecord, Init, ProtocolError, SessionClient, connect_tcp, decode
 
 
 def _entity(eid, x, y, kind="static"):
@@ -401,10 +401,10 @@ def _watch_template(monkeypatch, prelude=None):
         seen["templates"].append(proc)
         return proc
 
-    def start(self, instance_id):
-        pid, port, reports = real_start(self, instance_id)
+    def start(self, instance_id, conn):
+        pid, reports = real_start(self, instance_id, conn)
         seen["pids"].append(pid)
-        return pid, port, reports
+        return pid, reports
 
     monkeypatch.setattr(subprocess, "Popen", popen)
     monkeypatch.setattr(level0.SessionTemplate, "start", start)
@@ -477,27 +477,47 @@ def test_nothing_outlives_a_tcp_run(monkeypatch, outcome):
     assert len(seen["pids"]) == 2 and all(_gone(pid) for pid in seen["pids"])
 
 
-def test_child_that_never_reports_a_port_is_given_up(monkeypatch):
+def test_child_that_never_sends_hello_is_given_up(monkeypatch):
     seen = _watch_template(
-        monkeypatch, "import time\nlevel1.serve_tcp = lambda *args: time.sleep(60)"
+        monkeypatch, "import time\nlevel1.serve_session = lambda *args: time.sleep(60)"
     )
+    # The client's reads take the patched timeout too, not the 30 s it was bound to.
     monkeypatch.setattr(level0, "DEFAULT_TIMEOUT", 0.5)
     started = time.perf_counter()
-    with pytest.raises(SimulationError, match="t0-lp0-0.*did not report a port within 0.5 s"):
+    with pytest.raises(SimulationError, match="t0-lp0-0.*timeout: timed out waiting for peer"):
         run_simulation(_TCP_RUN)
     assert time.perf_counter() - started < 5.0
     (template,) = seen["templates"]
     assert template.returncode is not None
+    (pid,) = seen["pids"]
+    assert _gone(pid)
+
+
+def test_session_child_refuses_an_init_for_another_instance():
+    transport, conn = connect_tcp()
+    template = level0.SessionTemplate()
+    try:
+        pid, reports = template.start("expected-id", conn)
+        with reports:
+            SessionClient(transport, timeout=10).handshake(Init("other-id", 1, 4, 50, ()))
+            refusal = decode(transport.recv_line(timeout=10))
+            lines = list(level0._report_lines(reports, "did not exit"))
+    finally:
+        transport.close()
+        template.close()
+    assert refusal.code == "init-failed"
+    assert refusal.detail == "instance-mismatch: serving 'expected-id' but INIT names 'other-id'"
+    assert lines[-1] == "EXIT=1"
+    assert _gone(pid)
 
 
 _STUCK_AFTER_FINAL = """
 import time
-served = level1.serve_tcp
-def serve_tcp(*args):
-    status = served(*args)
+served = level1.serve_session
+def serve_session(*args):
+    served(*args)
     time.sleep(60)
-    return status
-level1.serve_tcp = serve_tcp
+level1.serve_session = serve_session
 """
 
 
@@ -512,7 +532,8 @@ def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_a_loopback_run_leaks_no_descriptor():
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_session_run_leaks_no_descriptor(transport):
     cfg = replace(
         _TCP_RUN,
         num_ses=40,
@@ -520,7 +541,7 @@ def test_a_loopback_run_leaks_no_descriptor():
         num_lps=2,
         total_timesteps=3,
         l1_schedule=(SpawnTrigger(0, 0, 2), SpawnTrigger(1, 0, 2), SpawnTrigger(1, 1, 2)),
-        l1_transport="loopback",
+        l1_transport=transport,
     )
     before = len(os.listdir("/proc/self/fd"))
     assert len(run_simulation(cfg).session_logs) == 3

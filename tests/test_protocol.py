@@ -162,14 +162,37 @@ def test_loopback_frames_lines_like_tcp(pair):
     assert b.recv_line(timeout=1) == b"b\n"
 
 
-def test_refused_connect_fails_at_once_naming_the_port():
-    with socket.socket() as bound:
-        bound.bind(("127.0.0.1", 0))  # bound but not listening: connect is refused
-        port = bound.getsockname()[1]
-        started = time.perf_counter()
-        with pytest.raises(TransportClosed, match=f"127.0.0.1:{port}"):
-            connect_tcp(port)
+def test_refused_connect_fails_at_once_naming_the_port(monkeypatch):
+    ports = []
+
+    def listen(self, backlog=0):  # bound but not listening: the connect is refused
+        ports.append(self.getsockname()[1])
+
+    monkeypatch.setattr(socket.socket, "listen", listen)
+    started = time.perf_counter()
+    with pytest.raises(TransportClosed, match="could not connect") as excinfo:
+        connect_tcp()
     assert time.perf_counter() - started < 2.0  # no retrying
+    (port,) = ports
+    assert f"127.0.0.1:{port}" in str(excinfo.value)
+
+
+def test_connect_refuses_a_stranger_that_connected_first(monkeypatch):
+    strangers = []
+    create_connection = socket.create_connection
+
+    def racing(address, *args, **kwargs):
+        strangers.append(create_connection(address))  # lands first in the accept queue
+        return create_connection(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", racing)
+    try:
+        with pytest.raises(TransportClosed, match="a stranger at .* connected to 127.0.0.1:"):
+            connect_tcp()
+    finally:
+        for sock in strangers:
+            sock.close()
+    assert len(strangers) == 1
 
 
 def test_transcripts_log_both_directions(pair):
@@ -401,9 +424,8 @@ def test_tcp_and_loopback_transcripts_are_byte_identical(pair):
     _run_session_collect(client_t, server_t, init)
 
     tcp_log: list = []
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        client_t = connect_tcp(listener.getsockname()[1], transcript=tcp_log)
-        server_t = Transport(listener.accept()[0])
+    client_t, conn = connect_tcp(transcript=tcp_log)
+    server_t = Transport(conn)
     try:
         _run_session_collect(client_t, server_t, init)
     finally:
