@@ -8,9 +8,11 @@ runs in fixed phases:
 
   (1) deliver, once for the whole world: every transmission staged last step
       is received exactly one step after it was emitted, by every live
-      entity in its disc, in one canonical order; then live entities
-      generate.  Relayed copies and fresh messages are staged for the next
-      step,
+      entity in its disc, in one canonical order.  One cell-list join of
+      the step's transmissions with every entity gives the pairs in that
+      order; they are received in chunks of O(live entities), each with
+      its forward coins drawn at once.  Then live entities generate.
+      Relayed copies and fresh messages are staged for the next step,
   (2) for each LP in id order: step mobility, apply pending reintegrations,
       then stage for migration the entities whose position crossed a stripe
       boundary,
@@ -37,6 +39,7 @@ import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import Optional, TextIO
 
@@ -146,10 +149,17 @@ class DeliveryAudit:
 
     def record(self, msg_id: MsgId, ttl_remaining: int, receiver_ids: list[int]) -> None:
         """One transmission of ``msg_id`` received by each of ``receiver_ids``."""
-        if self.min_ttl_seen is None or ttl_remaining < self.min_ttl_seen:
-            self.min_ttl_seen = ttl_remaining
+        ids = np.array(receiver_ids, dtype=np.int64)
+        self.record_many([msg_id] * len(ids), ids, ttl_remaining)
+
+    def record_many(self, msg_ids: list[MsgId], receiver_ids: np.ndarray, min_ttl: int) -> None:
+        """Receipts in order: ``receiver_ids[k]`` got a copy of ``msg_ids[k]``;
+        the fewest hops left on any of them is ``min_ttl``."""
+        if self.min_ttl_seen is None or min_ttl < self.min_ttl_seen:
+            self.min_ttl_seen = min_ttl
         if self.record_receipts:
-            self.receipts.setdefault(msg_id, TallyCounter()).update(receiver_ids)
+            for msg_id, rid in zip(msg_ids, receiver_ids.tolist()):
+                self.receipts.setdefault(msg_id, TallyCounter())[rid] += 1
 
     def receiver_sets(self) -> dict[MsgId, frozenset[int]]:
         return {m: frozenset(t) for m, t in self.receipts.items()}
@@ -192,8 +202,6 @@ class RunResult:
 
 # One transmission in flight: message id, sender, hops left, where it was sent from.
 _Tx = tuple[MsgId, int, int, float, float]
-# One received transmission: message id, sender, hops left, live-receiver hits and offsets.
-_Rx = tuple[MsgId, int, int, np.ndarray, np.ndarray, np.ndarray]
 # Canonical delivery order; the sort is stable, so ties keep staging order.
 _tx_order = itemgetter(0, 1)
 
@@ -238,31 +246,56 @@ class SimEngine:
         live = [e for lp in self.lps for e in lp.entities.values()]
         receivers = live + [e for lp in self.lps for e in lp.delegated.values()]
         n_live = len(live)
-        live_ids = np.fromiter((e.id for e in live), dtype=np.int64, count=n_live)
-        xs = np.fromiter((e.x for e in receivers), dtype=np.float64, count=len(receivers))
-        ys = np.fromiter((e.y for e in receivers), dtype=np.float64, count=len(receivers))
-        radius = cfg.interaction_range
-
-        # Transmissions with live hits wait in a batch until it holds as many
-        # receipts as there are live entities; then one kernel call draws all
-        # their forward coins.  Coins do not depend on cache state, so drawing
-        # ahead changes nothing.
-        batch: list[_Rx] = []
-        batch_hits = 0
-        for msg_id, sender_id, ttl, sx, sy in txs:
-            hits, dxs, dys = self.world.disc(xs, ys, sx, sy, radius)
-            live_hits = int(np.searchsorted(hits, n_live))
-            # Frozen receivers get nothing; the drop is still accounted.
-            part["dropped_delegated"] += len(hits) - live_hits
-            if live_hits:
-                batch.append((msg_id, sender_id, ttl, hits[:live_hits], dxs, dys))
-                batch_hits += live_hits
-                if batch_hits >= n_live:
-                    self._receive_batch(live, live_ids, batch, part, outgoing)
-                    batch.clear()
-                    batch_hits = 0
-        if batch:
-            self._receive_batch(live, live_ids, batch, part, outgoing)
+        ids = np.fromiter((e.id for e in receivers), dtype=np.int64, count=len(receivers))
+        live_ids = ids[:n_live]
+        if txs:
+            xs = np.fromiter((e.x for e in receivers), dtype=np.float64, count=len(receivers))
+            ys = np.fromiter((e.y for e in receivers), dtype=np.float64, count=len(receivers))
+            msg_ids, senders, ttls, sxs, sys_ = zip(*txs)
+            origins, seqs = np.array(msg_ids, dtype=np.int64).T
+            senders = np.array(senders, dtype=np.int64)
+            caches = [e.cache for e in live]
+            # One cell-list join; its pairs arrive in receipt order, in chunks
+            # of O(n_live) candidates.  Coins do not depend on cache state, so
+            # drawing a chunk's coins at once changes nothing.
+            chunks = self.world.join(
+                np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, max(n_live, 1024)
+            )
+            for tx, rx, dx, dy in chunks:
+                live_rx = rx < n_live
+                # Frozen receivers get nothing; the drop is still accounted.
+                part["dropped_delegated"] += len(rx) - int(np.count_nonzero(live_rx))
+                keep = np.flatnonzero(live_rx & (ids[rx] != senders[tx]))
+                if not len(keep):
+                    continue
+                tx, rx = tx[keep], rx[keep]
+                rids = ids[rx]
+                coins = rng.unit_uniforms((cfg.seed, rng.FORWARD), rids, origins[tx], seqs[tx])
+                txl, rxl = tx.tolist(), rx.tolist()
+                rx_msgs = list(map(msg_ids.__getitem__, txl))
+                rx_ttls = list(map(ttls.__getitem__, txl))
+                dists = map(math.hypot, dx[keep].tolist(), dy[keep].tolist())
+                outcomes = list(
+                    map(
+                        relay_step,
+                        map(caches.__getitem__, rxl),
+                        rx_msgs,
+                        rx_ttls,
+                        dists,
+                        coins.tolist(),
+                        repeat(cfg),
+                    )
+                )
+                # relay_step answers (True, False) for a duplicate and (False, True) for a forward.
+                duplicates = outcomes.count((True, False))
+                part["duplicates"] += duplicates
+                part["delivered"] += len(outcomes) - duplicates
+                forwards = list(compress(range(len(outcomes)), map(itemgetter(1), outcomes)))
+                part["forwarded"] += len(forwards)
+                for k in forwards:
+                    entity = live[rxl[k]]
+                    outgoing.append((rx_msgs[k], entity.id, rx_ttls[k] - 1, entity.x, entity.y))
+                self.audit.record_many(rx_msgs, rids, min(rx_ttls))
 
         # Fresh traffic, in id order so staging order is reproducible.
         if cfg.generation_prob > 0:
@@ -274,43 +307,6 @@ class SimEngine:
                 entity.cache.touch(msg_id)  # never re-deliver to self
                 part["generated"] += 1
                 outgoing.append((msg_id, entity.id, ttl, entity.x, entity.y))
-
-    def _receive_batch(
-        self,
-        live: list[Entity],
-        live_ids: np.ndarray,
-        batch: list[_Rx],
-        part: dict,
-        outgoing: list[_Tx],
-    ) -> None:
-        """Run the receipts of ``batch`` in order, with their coins drawn at once."""
-        cfg = self.config
-        counts = [len(hits) for _, _, _, hits, _, _ in batch]
-        coins = rng.unit_uniforms(
-            (cfg.seed, rng.FORWARD),
-            live_ids[np.concatenate([hits for _, _, _, hits, _, _ in batch])],
-            np.repeat([msg_id[0] for msg_id, *_ in batch], counts),
-            np.repeat([msg_id[1] for msg_id, *_ in batch], counts),
-        ).tolist()
-        start = 0
-        for (msg_id, sender_id, ttl, hits, dxs, dys), count in zip(batch, counts):
-            draws = coins[start : start + count]
-            start += count
-            received: list[int] = []
-            for i, dx, dy, draw in zip(hits.tolist(), dxs.tolist(), dys.tolist(), draws):
-                entity = live[i]
-                rid = entity.id
-                if rid == sender_id:
-                    continue
-                dist = math.hypot(dx, dy)
-                duplicate, forward = relay_step(entity.cache, msg_id, ttl, dist, draw, cfg)
-                received.append(rid)
-                part["duplicates" if duplicate else "delivered"] += 1
-                if forward:
-                    part["forwarded"] += 1
-                    outgoing.append((msg_id, rid, ttl - 1, entity.x, entity.y))
-            if received:
-                self.audit.record(msg_id, ttl, received)
 
     def _phase_mobility(self, lp: LogicalProcess) -> None:
         cfg = self.config
@@ -346,9 +342,14 @@ class SimEngine:
         # Reintegrations from last step's sessions re-enter here, then the
         # normal stripe sweep re-homes whoever moved.
         self._reintegrate(lp)
+        # ``stripe_of`` for every entity at once: x >= 0, and the float64
+        # division and truncation are the scalar ones.
         n = self.config.num_lps
-        for eid in [e.id for e in lp.entities.values() if stripe_of(e.x, self.world, n) != lp.lp_id]:
-            self._migrating.append(lp.entities.pop(eid))
+        entities = list(lp.entities.values())
+        xs = np.fromiter((e.x for e in entities), dtype=np.float64, count=len(entities))
+        stripes = np.minimum((xs / (self.world.width / n)).astype(np.int64), n - 1)
+        for k in np.flatnonzero(stripes != lp.lp_id).tolist():
+            self._migrating.append(lp.entities.pop(entities[k].id))
 
     def _phase_migrate_in(self) -> None:
         """Hand every migrating entity to the LP of its new stripe."""

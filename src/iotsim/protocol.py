@@ -431,10 +431,11 @@ def serve_session(
 ) -> None:
     """Instance side: one full session, HELLO through FINAL.
 
-    Any grammar or ordering violation is answered with ERROR and raised; so
-    is an exception from the instance (``instance-failed <Type>: <text>``),
-    which is raised as itself.  The caller owns the transport and decides
-    process exit.
+    Any grammar or ordering violation is answered with ERROR and raised.  So
+    is a failed ``make_instance``: a ``ProtocolError`` with its own code and
+    detail, anything else as ``init-failed``.  An exception from the running
+    instance is answered with ``instance-failed <Type>: <text>`` and raised
+    as itself.  The caller owns the transport and decides process exit.
     """
 
     def answer(handler: Callable[[], tuple[tuple[EntityRecord, ...], Counters]]):
@@ -450,6 +451,8 @@ def serve_session(
         raise _fail(transport, "protocol-violation", f"expected INIT, got {type(msg).__name__}")
     try:
         handlers = make_instance(msg)
+    except ProtocolError as exc:
+        raise _fail(transport, exc.code, exc.detail) from exc
     except Exception as exc:
         raise _fail(transport, "init-failed", str(exc)) from exc
 

@@ -1,10 +1,35 @@
-"""Toroidal 2D world geometry and the disc query."""
+"""Toroidal 2D world geometry: the cell-list join and the disc query."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+
+# A cell is this much wider than the range, so rounding in ``x * n / side``
+# cannot put an in-range point two cells away.
+_CELL_MARGIN = 1.0 + 1e-9
+
+# (centre, point, |dx|, |dy|), one row per in-range pair.
+Pairs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cells_per_axis(side: float, radius: float, cap: int) -> int:
+    """Cells along one axis: each strictly wider than ``radius``, at most ``cap``.
+
+    Fewer than 3 cells become 1, so a centre's block of neighbouring cells
+    never holds a cell twice.
+    """
+    reach = radius * _CELL_MARGIN
+    n = side / reach if reach > 0 else math.inf
+    n = cap if not n < cap else int(n)
+    return n if n >= 3 else 1
+
+
+def _cell_of(v: np.ndarray, side: float, n: int) -> np.ndarray:
+    return np.minimum((v * (n / side)).astype(np.int64), n - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,6 +54,73 @@ class ToroidalWorld:
             wy = 0.0
         return wx, wy
 
+    def join(
+        self,
+        cxs: np.ndarray,
+        cys: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        radius: float,
+        budget: float = math.inf,
+    ) -> Iterator[Pairs]:
+        """Every (centre, point) pair within ``radius`` on the torus, by cell list.
+
+        Points and centres are wrapped positions.  The points are binned into
+        cells strictly wider than ``radius`` (Allen & Tildesley's cell list),
+        and each centre is tested against the points of its 3x3 block of
+        cells, with wrap.  The tests are the disc's own elementwise
+        expressions, so every boundary decision and every offset is the same
+        as a scan of all points; the boundary is inclusive.
+
+        Yields chunks (centre index, point index, |dx|, |dy|), each sorted by
+        (centre, point); the chunks cover consecutive centres in order.  A
+        chunk's centres have at most ``budget`` candidates (points in their
+        blocks) between them, unless a single centre has more.
+        """
+        if len(cxs) == 0:
+            return
+        # More cells than points buy nothing, and a tiny range would ask for
+        # a huge grid.
+        cap = max(math.isqrt(len(xs)), 1)
+        nx = _cells_per_axis(self.width, radius, cap)
+        ny = _cells_per_axis(self.height, radius, cap)
+        cells = _cell_of(xs, self.width, nx) * ny + _cell_of(ys, self.height, ny)
+        # Points grouped by cell; their order inside a cell does not matter,
+        # since every chunk is sorted at the end.
+        by_cell = np.argsort(cells)
+        counts = np.bincount(cells, minlength=nx * ny)
+        firsts = np.cumsum(counts) - counts
+
+        steps_x = np.arange(-1, 2) if nx > 1 else np.zeros(1, np.int64)
+        steps_y = np.arange(-1, 2) if ny > 1 else np.zeros(1, np.int64)
+        bx = (_cell_of(cxs, self.width, nx)[:, None] + steps_x) % nx
+        by = (_cell_of(cys, self.height, ny)[:, None] + steps_y) % ny
+        blocks = (bx[:, :, None] * ny + by[:, None, :]).reshape(len(cxs), -1)
+        candidates = counts[blocks].sum(axis=1)
+        reached = np.cumsum(candidates)
+
+        r2 = radius * radius
+        start = 0
+        while start < len(cxs):
+            before = reached[start - 1] if start else 0
+            stop = max(int(np.searchsorted(reached, before + budget, side="right")), start + 1)
+            # The candidates: for each centre, the run of ``by_cell`` that
+            # each cell of its block holds, one run after another.
+            lens = counts[blocks[start:stop]].ravel()
+            ends = np.cumsum(lens)
+            pos = np.arange(ends[-1]) + np.repeat(firsts[blocks[start:stop]].ravel() - (ends - lens), lens)
+            pt = by_cell[pos]
+            ctr = np.repeat(np.arange(start, stop), candidates[start:stop])
+            dx = np.abs(xs[pt] - cxs[ctr])
+            np.minimum(dx, self.width - dx, out=dx)
+            dy = np.abs(ys[pt] - cys[ctr])
+            np.minimum(dy, self.height - dy, out=dy)
+            hit = np.flatnonzero(dx * dx + dy * dy <= r2)
+            # (centre, point) is unique, so no stable sort is needed.
+            hit = hit[np.argsort(ctr[hit] * len(xs) + pt[hit])]
+            yield ctr[hit], pt[hit], dx[hit], dy[hit]
+            start = stop
+
     def disc(
         self, xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, radius: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -36,11 +128,7 @@ class ToroidalWorld:
 
         Returns their indices in ascending order and, for each, the shortest
         per-axis offsets |dx| and |dy|.  The boundary is inclusive: a point
-        at exactly ``radius`` is in range.
+        at exactly ``radius`` is in range.  This is ``join`` with one centre.
         """
-        dx = np.abs(xs - cx)
-        np.minimum(dx, self.width - dx, out=dx)
-        dy = np.abs(ys - cy)
-        np.minimum(dy, self.height - dy, out=dy)
-        hits = np.nonzero(dx * dx + dy * dy <= radius * radius)[0]
-        return hits, dx[hits], dy[hits]
+        ((_, hits, dx, dy),) = self.join(np.array([cx]), np.array([cy]), xs, ys, radius)
+        return hits, dx, dy

@@ -505,8 +505,8 @@ def test_session_child_refuses_an_init_for_another_instance():
     finally:
         transport.close()
         template.close()
-    assert refusal.code == "init-failed"
-    assert refusal.detail == "instance-mismatch: serving 'expected-id' but INIT names 'other-id'"
+    assert refusal.code == "instance-mismatch"
+    assert refusal.detail == "serving 'expected-id' but INIT names 'other-id'"
     assert lines[-1] == "EXIT=1"
     assert _gone(pid)
 
@@ -696,3 +696,31 @@ def test_tallied_receipts_equal_delivered_plus_duplicates():
     assert tallied > 0
     assert tallied == totals["delivered"] + totals["duplicates"]
     assert totals["dropped_delegated"] > 0
+
+
+def test_counters_add_up_every_step():
+    # Enough live receivers that a step's receipts span several join chunks,
+    # and a session on each stripe, so some receivers are frozen.
+    cfg = SimConfig(
+        num_ses=1500,
+        num_lps=2,
+        total_timesteps=6,
+        generation_prob=0.02,
+        l1_schedule=(SpawnTrigger(1, 0, 20), SpawnTrigger(1, 1, 20), SpawnTrigger(3, 0, 20)),
+        l1_fine_steps_per_timestep=50,
+        l1_transport="loopback",
+        seed=23,
+    )
+    engine = SimEngine(cfg, record_receipts=True)
+    reports = []
+    tallied = 0
+    for t in range(cfg.total_timesteps):
+        report = engine.advance_timestep(t)
+        reports.append(report)
+        assert report.active + report.delegated == cfg.num_ses
+        before, tallied = tallied, sum(sum(tally.values()) for tally in engine.audit.receipts.values())
+        assert tallied - before == report.delivered + report.duplicates, t
+    assert tallied == sum(r.delivered + r.duplicates for r in reports)
+    # More receipts in a step than one chunk's candidate budget: several chunks ran.
+    assert max(r.delivered + r.duplicates for r in reports) > max(cfg.num_ses, 1024)
+    assert sum(r.dropped_delegated for r in reports) > 0

@@ -1,4 +1,4 @@
-"""Torus geometry and the disc query against a brute-force oracle."""
+"""Torus geometry, the disc query and the cell-list join against brute-force oracles."""
 
 import math
 import random
@@ -119,3 +119,113 @@ def test_disc_wraps_and_reports_shortest_offsets():
     assert dx.tolist() == dy.tolist() == [1.0, 1.0]
     hits, _, _ = world.disc(xs, ys, 50.0, 50.0, 1.0)
     assert hits.tolist() == [2]
+
+
+def _brute_pairs(world, cxs, cys, xs, ys, radius):
+    """(centre, point, |dx|, |dy|) rows in range, by disc's expressions as scalars."""
+    rows = []
+    for c, (cx, cy) in enumerate(zip(cxs, cys)):
+        for p, (x, y) in enumerate(zip(xs, ys)):
+            dx = abs(x - cx)
+            dx = min(dx, world.width - dx)
+            dy = abs(y - cy)
+            dy = min(dy, world.height - dy)
+            if dx * dx + dy * dy <= radius * radius:
+                rows.append((c, p, dx, dy))
+    return rows
+
+
+def _joined(world, cxs, cys, xs, ys, radius, budget=math.inf):
+    chunks = list(world.join(np.array(cxs), np.array(cys), np.array(xs), np.array(ys), radius, budget))
+    rows = [row for chunk in chunks for row in zip(*(col.tolist() for col in chunk))]
+    return rows, chunks
+
+
+def _join_case(rng, trial):
+    """A world, centres and points that hit the join's edge cases."""
+    world = ToroidalWorld(float(rng.randrange(20, 200)), float(rng.randrange(20, 200)))
+    w, h = world.width, world.height
+    # Cell sides that do not divide the world, fewer than 3 cells, R >= side, R = inf.
+    radius = [rng.uniform(1.0, 20.0), rng.uniform(w / 3, w), max(w, h) + rng.uniform(0, 5), math.inf][trial % 4]
+    if trial % 8 == 0:
+        radius = float(rng.randrange(5, 15, 5))  # integral, so 3-4-5 offsets are exact
+    cxs, cys, xs, ys = [], [], [], []
+    for _ in range(rng.randrange(1, 12)):
+        cx, cy = float(rng.randrange(int(w))), float(rng.randrange(int(h)))
+        cxs.append(cx)
+        cys.append(cy)
+        if trial % 8 == 0:
+            k = radius / 5
+            # Exactly R away: along each axis and on 3-4-5 diagonals, wrapped
+            # across a seam when the centre is near one.
+            for px, py in [(cx + radius, cy), (cx, cy - radius), (cx + 3 * k, cy + 4 * k), (cx - 4 * k, cy - 3 * k)]:
+                x, y = world.wrap(px, py)
+                xs.append(x)
+                ys.append(y)
+    # Both seams, points sharing a cell or a position, and random fill.
+    for x, y in [(0.0, 0.0), (w - 1e-9, 0.0), (0.0, h - 1e-9), (w - 1e-9, h - 1e-9)]:
+        xs.append(x)
+        ys.append(y)
+    for _ in range(rng.randrange(0, 120)):
+        x, y = rng.uniform(0, w), rng.uniform(0, h)
+        copies = rng.randrange(1, 3)
+        xs.extend([x] * copies)
+        ys.extend([y] * copies)
+    return world, cxs, cys, xs, ys, radius
+
+
+def test_join_matches_brute_force_and_disc():
+    rng = random.Random(14)
+    exact_hits = 0
+    for trial in range(400):
+        world, cxs, cys, xs, ys, radius = _join_case(rng, trial)
+        rows, _ = _joined(world, cxs, cys, xs, ys, radius)
+        assert rows == _brute_pairs(world, cxs, cys, xs, ys, radius), f"trial {trial}"
+        for c, (cx, cy) in enumerate(zip(cxs, cys)):
+            hits, dx, dy = world.disc(np.array(xs), np.array(ys), cx, cy, radius)
+            mine = [row[1:] for row in rows if row[0] == c]
+            assert mine == list(zip(hits.tolist(), dx.tolist(), dy.tolist())), f"trial {trial}"
+        exact_hits += sum(math.hypot(dx, dy) == radius for _, _, dx, dy in rows)
+    assert exact_hits > 100  # the boundary was exercised, and it is inclusive
+
+
+def test_join_chunks_concatenate_to_one_join():
+    rng = random.Random(15)
+    for trial in range(100):
+        world, cxs, cys, xs, ys, radius = _join_case(rng, trial)
+        whole, chunks = _joined(world, cxs, cys, xs, ys, radius)
+        assert len(chunks) == 1
+        for budget in (1, 7, len(xs), math.inf):
+            rows, chunks = _joined(world, cxs, cys, xs, ys, radius, budget)
+            assert rows == whole, f"trial {trial}, budget {budget}"
+            # Chunks cover consecutive centres; no centre is split.
+            centres = [sorted(set(chunk[0].tolist())) for chunk in chunks]
+            flat = [c for cs in centres for c in cs]
+            assert flat == sorted(set(flat))
+            # A chunk's pairs are some of its candidates, so a chunk of several
+            # centres holds no more pairs than the budget.
+            for chunk, cs in zip(chunks, centres):
+                if len(cs) > 1:
+                    assert len(chunk[0]) <= budget
+
+
+def test_join_keeps_pairs_at_exactly_r_across_cell_edges():
+    # Sides that are whole multiples of R would give cells exactly R wide;
+    # centres a few ulps either side of such a cell edge, with points exactly
+    # R away, catch a cell list that lets rounding put a pair two cells apart.
+    for side, radius in [(100.0, 10.0), (100.0, 100.0 / 7), (3.0, 0.1), (64.0, 8.0)]:
+        world = ToroidalWorld(side, side)
+        cxs, cys, xs, ys = [], [], [], []
+        for k in range(int(side / radius)):
+            for ulps in range(-3, 4):
+                c = k * radius
+                for _ in range(abs(ulps)):
+                    c = math.nextafter(c, math.copysign(math.inf, ulps))
+                c = world.wrap(c, 0.5)[0]
+                cxs.append(c)
+                cys.append(0.5)
+                for px in (c + radius, c - radius):
+                    xs.append(world.wrap(px, 0.5)[0])
+                    ys.append(0.5)
+        rows, _ = _joined(world, cxs, cys, xs, ys, radius)
+        assert rows == _brute_pairs(world, cxs, cys, xs, ys, radius), (side, radius)
