@@ -6,7 +6,7 @@ with derived sub-seeds, and emits one CSV row per value with means and
 standard deviations.  Peak memory is the process high-water mark, so honest
 per-run numbers require a fresh process per run; sweep mode therefore shells
 out to ``iotsim simulate`` by default, while in-process mode exists for tests
-and quick looks.
+and quick looks, and reports no memory.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from . import rng
 from .config import OPTIONS, ConfigError, SimConfig, SpawnTrigger, config_to_file_text
 from .level0 import RunResult, run_simulation
-from .protocol import measure_peak_memory
+from .protocol import measure_peak_memory  # noqa: F401 - the CLI and perfbench call bench.measure_peak_memory
 
 
 @dataclass(slots=True)
@@ -92,11 +92,6 @@ def collect_metrics(result: RunResult, peak_rss_l0: Optional[int]) -> RunMetrics
             "n_l1_sessions": len(result.session_logs),
         },
     )
-
-
-def run_and_measure(config: SimConfig) -> RunMetrics:
-    result = run_simulation(config)
-    return collect_metrics(result, measure_peak_memory())
 
 
 # -- schedules -----------------------------------------------------------------
@@ -260,7 +255,8 @@ def run_experiment(
             config = plan.config_for(value, rep)
             try:
                 if in_process:
-                    metrics.append(run_and_measure(config))
+                    # The process's peak covers every earlier run: no per-run memory.
+                    metrics.append(collect_metrics(run_simulation(config), None))
                 else:
                     metrics.append(_run_in_subprocess(config))
             except Exception as exc:

@@ -18,9 +18,14 @@ runs in fixed phases:
       boundary,
   (3) hand each migrating entity to the LP of its new stripe,
   (4) process this step's spawn triggers: delegate entities and drive each
-      fine-grained session to completion.  With more than one LP, each LP
+      fine-grained session to completion.  A session's FINAL is checked
+      where the session ends: its ids by the session client, its positions
+      against the LP's stripe here; the entities stay frozen where they were
+      until the next step reintegrates them.  With more than one LP, each LP
       with triggers runs its sessions on a thread of its own, so sessions of
-      different LPs overlap; all are joined before the step ends.
+      different LPs overlap; all are joined before the step ends.  Every
+      wait on a session is bounded by ``protocol.DEFAULT_TIMEOUT``, read when
+      the wait is set up.
 
 Determinism does not depend on the partitioning: in-loop random decisions are
 stateless hashes of (seed, purpose, ids), and every receiver consumes its
@@ -45,13 +50,12 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from . import rng
+from . import protocol, rng
 from .config import SimConfig, SpawnTrigger
 from .dissemination import MsgId, generate_message, relay_step
 from .mobility import rwp_step
 from .model import Entity, make_entities
 from .protocol import (
-    DEFAULT_TIMEOUT,
     Counters,
     EntityRecord,
     Init,
@@ -82,7 +86,8 @@ class LogicalProcess:
     x1: float
     entities: dict[int, Entity] = field(default_factory=dict)
     delegated: dict[int, Entity] = field(default_factory=dict)
-    pending_reint: list[tuple[Entity, EntityRecord]] = field(default_factory=list)
+    # Entities back from this step's sessions, with their checked world positions.
+    pending_reint: list[tuple[Entity, float, float]] = field(default_factory=list)
 
 
 def stripe_of(x: float, world: ToroidalWorld, num_lps: int) -> int:
@@ -146,11 +151,6 @@ class DeliveryAudit:
     def max_trace_len(self) -> int:
         """Most transmitters behind a received copy, origin included: each relay spends one hop."""
         return 0 if self.min_ttl_seen is None else self.ttl - self.min_ttl_seen + 1
-
-    def record(self, msg_id: MsgId, ttl_remaining: int, receiver_ids: list[int]) -> None:
-        """One transmission of ``msg_id`` received by each of ``receiver_ids``."""
-        ids = np.array(receiver_ids, dtype=np.int64)
-        self.record_many([msg_id] * len(ids), ids, ttl_remaining)
 
     def record_many(self, msg_ids: list[MsgId], receiver_ids: np.ndarray, min_ttl: int) -> None:
         """Receipts in order: ``receiver_ids[k]`` got a copy of ``msg_ids[k]``;
@@ -324,16 +324,8 @@ class SimEngine:
 
     def _reintegrate(self, lp: LogicalProcess) -> None:
         """Return the entities of last step's sessions to ``lp``."""
-        for entity, record in lp.pending_reint:
-            lx, ly = record.x, record.y
-            if not (-REGION_TOL <= lx <= (lp.x1 - lp.x0) + REGION_TOL) or not (
-                -REGION_TOL <= ly <= self.world.height + REGION_TOL
-            ):
-                raise ProtocolError(
-                    "region-violation",
-                    f"entity {entity.id} returned at local ({lx}, {ly}), outside its region",
-                )
-            entity.x, entity.y = self.world.wrap(lp.x0 + lx, ly)
+        for entity, x, y in lp.pending_reint:
+            entity.x, entity.y = x, y
             del lp.delegated[entity.id]
             lp.entities[entity.id] = entity
         lp.pending_reint.clear()
@@ -408,17 +400,20 @@ class SimEngine:
                 raise SimulationError("TCP sessions run only inside run(), which starts their template")
             else:
                 final, child_rss = _drive_subprocess(init, t, transcript, self._template)
+            # The client checked the ids against INIT; the positions are checked
+            # here, and applied at the next reintegration (frozen until then).
+            for r in final.entities:
+                if not (-REGION_TOL <= r.x <= lp.x1 - lp.x0 + REGION_TOL) or not (
+                    -REGION_TOL <= r.y <= self.world.height + REGION_TOL
+                ):
+                    raise ProtocolError(
+                        "region-violation",
+                        f"entity {r.id} returned at local ({r.x}, {r.y}), outside its region",
+                    )
+                lp.pending_reint.append((lp.delegated[r.id], *self.world.wrap(lp.x0 + r.x, r.y)))
         except Exception as exc:
             raise SimulationError(f"L1 session {instance_id} failed: {exc}") from exc
         ended = time.perf_counter()
-
-        for record in final.entities:
-            entity = lp.delegated.get(record.id)
-            if entity is None:
-                raise SimulationError(
-                    f"L1 session {instance_id} returned unknown entity {record.id}"
-                )
-            lp.pending_reint.append((entity, record))
         return SessionLog(
             instance_id=instance_id,
             lp_id=lp.lp_id,
@@ -548,8 +543,7 @@ def run_simulation(
 
 
 def _drive_session(transport: Transport, init: Init, t: int):
-    # Read at call time: a patched DEFAULT_TIMEOUT bounds the client's reads too.
-    client = SessionClient(transport, timeout=DEFAULT_TIMEOUT)
+    client = SessionClient(transport)
     client.handshake(init)
     client.step(t)
     return client.finish()
@@ -578,7 +572,7 @@ def _drive_loopback(init: Init, t: int, transcript):
         failure = exc  # a crash shows here only as a closed connection
     finally:
         client_side.close()
-        thread.join(timeout=DEFAULT_TIMEOUT)
+        thread.join(timeout=protocol.DEFAULT_TIMEOUT)
     if server_exc and not isinstance(server_exc[0], ProtocolError):
         crash = server_exc[0]
         raise SimulationError(f"instance crashed: {type(crash).__name__}: {crash}") from crash
@@ -620,7 +614,7 @@ class SessionTemplate:
             except OSError as exc:
                 ours.close()
                 raise SimulationError(f"the session template is gone: {exc}") from None
-        ours.settimeout(DEFAULT_TIMEOUT)
+        ours.settimeout(protocol.DEFAULT_TIMEOUT)
         reports = ours.makefile("r", encoding="utf-8", errors="replace")
         ours.close()  # the reader keeps the socket open
         try:
@@ -636,7 +630,7 @@ class SessionTemplate:
         """EOF on the control socket: the template kills and reaps what is left, then exits."""
         self._control.close()
         try:
-            self.proc.wait(timeout=DEFAULT_TIMEOUT)
+            self.proc.wait(timeout=protocol.DEFAULT_TIMEOUT)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
@@ -648,7 +642,7 @@ def _report_lines(reports: TextIO, waiting_for: str):
         try:
             line = reports.readline()
         except socket.timeout:
-            raise SimulationError(f"instance {waiting_for} within {DEFAULT_TIMEOUT:g} s") from None
+            raise SimulationError(f"instance {waiting_for} within {protocol.DEFAULT_TIMEOUT:g} s") from None
         if not line:
             return
         yield line.rstrip("\n")

@@ -32,7 +32,6 @@ from .protocol import (
     Counters,
     EntityRecord,
     Init,
-    InstanceHandlers,
     ProtocolError,
     Transport,
     measure_peak_memory,
@@ -512,10 +511,9 @@ def discover_route(scenario: GridScenario, source: int, destination: int) -> int
     return inst.node_rrep_result[source]
 
 
-def make_handlers(init: Init) -> InstanceHandlers:
-    """Adapter wiring an instance into protocol.serve_session."""
-    inst = L1Instance.from_init(init)
-    return InstanceHandlers(run_step=inst.run_one_coarse_step, finalize=inst.finalize)
+def make_handlers(init: Init) -> L1Instance:
+    """The instance ``protocol.serve_session`` drives for one session."""
+    return L1Instance.from_init(init)
 
 
 # -- the session template ------------------------------------------------------
@@ -578,7 +576,7 @@ def _serve_child(channel: int, conn: int, instance_id: str) -> int:
     os.close(channel)
     print(f"PID={os.getpid()}", flush=True)
 
-    def make_checked(init: Init) -> InstanceHandlers:
+    def make_checked(init: Init) -> L1Instance:
         if init.instance_id != instance_id:
             raise ProtocolError(
                 "instance-mismatch",

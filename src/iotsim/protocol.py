@@ -18,17 +18,22 @@ loopback sessions use an in-process socket pair, TCP sessions a loopback
 TCP connection whose server end is handed to a child, so identical sessions
 produce byte-identical transcripts on either.  Entity records carry
 {"id","x","y","kind"} in INIT and additionally {"arrived","hops"} in status
-reports; coordinates are written with at most 6 fractional digits.
+reports; coordinates are finite and written with at most 6 fractional
+digits, and counters are non-negative.  Either side waits at most
+``DEFAULT_TIMEOUT`` for each line, the value when its transport was made;
+that is the only timeout of a session.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 PROTOCOL_VERSION = 1
+# Read where a transport or wait is set up, never bound at import: patch it here.
 DEFAULT_TIMEOUT = 30.0
 
 _JSON_OPTS = {"separators": (",", ":")}
@@ -69,8 +74,14 @@ class EntityRecord:
     def __post_init__(self) -> None:
         # The wire carries at most 6 fractional digits; rounding here keeps
         # encode/decode a true round-trip.
-        object.__setattr__(self, "x", round(float(self.x), 6))
-        object.__setattr__(self, "y", round(float(self.y), 6))
+        try:
+            x, y = round(float(self.x), 6), round(float(self.y), 6)
+        except OverflowError:  # an int too large for a float
+            x = y = math.inf
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ProtocolError("bad-field", f"entity {self.id} has a non-finite coordinate")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         if self.kind not in ("static", "mobile"):
             raise ProtocolError("bad-field", f"unknown entity kind {self.kind!r}")
         # The fine level keys an entity's hops by ~id, which must not meet a node index.
@@ -223,10 +234,10 @@ def _decode_counters(obj: object) -> Counters:
     if not isinstance(obj, dict):
         raise ProtocolError("bad-field", "'counters' is not an object")
     return Counters(
-        rreq=_require(obj, "rreq", int),
-        rrep=_require(obj, "rrep", int),
-        arrivals=_require(obj, "arrivals", int),
-        events_processed=_require(obj, "events_processed", int),
+        rreq=_require_at_least(obj, "rreq", 0),
+        rrep=_require_at_least(obj, "rrep", 0),
+        arrivals=_require_at_least(obj, "arrivals", 0),
+        events_processed=_require_at_least(obj, "events_processed", 0),
     )
 
 
@@ -279,12 +290,15 @@ def decode(line: bytes) -> CoordMessage:
 class Transport:
     """Byte-line transport over a connected stream socket.
 
-    When ``transcript`` is set every line is logged.  A read that timed out
-    leaves the reader unusable; every timeout ends the session anyway.
+    Every send and read on it waits at most ``DEFAULT_TIMEOUT``, as it was
+    when the transport was made.  When ``transcript`` is set every line is
+    logged.  A read that timed out leaves the reader unusable; every timeout
+    ends the session anyway.
     """
 
     def __init__(self, sock: socket.socket, transcript: Optional[list[tuple[str, bytes]]] = None) -> None:
         self.transcript = transcript
+        sock.settimeout(DEFAULT_TIMEOUT)
         self._sock = sock
         self._reader = sock.makefile("rb")
 
@@ -296,8 +310,7 @@ class Transport:
         except OSError as exc:
             raise TransportClosed(f"send failed: {exc}") from None
 
-    def recv_line(self, timeout: float = DEFAULT_TIMEOUT) -> bytes:
-        self._sock.settimeout(timeout)
+    def recv_line(self) -> bytes:
         try:
             line = self._reader.readline()
         except socket.timeout:
@@ -348,9 +361,9 @@ def connect_tcp(transcript=None) -> tuple[Transport, socket.socket]:
 # Session endpoints
 
 
-def _recv_message(transport: Transport, timeout: float) -> CoordMessage:
+def _recv_message(transport: Transport) -> CoordMessage:
     """The peer's next message; a peer's ERROR is raised as ProtocolError."""
-    msg = decode(transport.recv_line(timeout))
+    msg = decode(transport.recv_line())
     if isinstance(msg, Error):
         raise ProtocolError(msg.code, msg.detail)
     return msg
@@ -368,14 +381,13 @@ def _fail(transport: Transport, code: str, detail: str) -> ProtocolError:
 class SessionClient:
     """Coarse-engine side of one instance session (strict lock-step)."""
 
-    def __init__(self, transport: Transport, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(self, transport: Transport) -> None:
         self.transport = transport
-        self.timeout = timeout
         self._init_ids: Optional[list[int]] = None
         self._done = False
 
     def handshake(self, init: Init) -> None:
-        msg = _recv_message(self.transport, self.timeout)
+        msg = _recv_message(self.transport)
         if not isinstance(msg, Hello):
             raise _fail(self.transport, "protocol-violation", f"expected HELLO, got {type(msg).__name__}")
         if msg.version != PROTOCOL_VERSION:
@@ -387,7 +399,7 @@ class SessionClient:
         if self._init_ids is None or self._done:
             raise ProtocolError("protocol-violation", "CONTINUE outside an open session")
         self.transport.send_line(encode(Continue(timestep)))
-        msg = _recv_message(self.transport, self.timeout)
+        msg = _recv_message(self.transport)
         if not isinstance(msg, StepResult):
             detail = f"expected STEP_RESULT, got {type(msg).__name__}"
             raise _fail(self.transport, "protocol-violation", detail)
@@ -402,7 +414,7 @@ class SessionClient:
         if self._init_ids is None or self._done:
             raise ProtocolError("protocol-violation", "END outside an open session")
         self.transport.send_line(encode(End()))
-        msg = _recv_message(self.transport, self.timeout)
+        msg = _recv_message(self.transport)
         if not isinstance(msg, Final):
             raise _fail(self.transport, "protocol-violation", f"expected FINAL, got {type(msg).__name__}")
         # A multiset compare: a repeated id is a mismatch too.
@@ -412,25 +424,12 @@ class SessionClient:
         return msg
 
 
-class InstanceHandlers:
-    """What serve_session needs from a fine-grained instance."""
-
-    def __init__(
-        self,
-        run_step: Callable[[int], tuple[tuple[EntityRecord, ...], Counters]],
-        finalize: Callable[[], tuple[tuple[EntityRecord, ...], Counters]],
-    ) -> None:
-        self.run_step = run_step
-        self.finalize = finalize
-
-
-def serve_session(
-    transport: Transport,
-    make_instance: Callable[[Init], InstanceHandlers],
-    timeout: float = DEFAULT_TIMEOUT,
-) -> None:
+def serve_session(transport: Transport, make_instance: Callable[[Init], Any]) -> None:
     """Instance side: one full session, HELLO through FINAL.
 
+    ``make_instance(init)`` returns the fine-grained instance (in practice
+    an ``L1Instance``); each CONTINUE calls its ``run_one_coarse_step(t)``
+    and END its ``finalize()``, both returning ``(entity records, Counters)``.
     Any grammar or ordering violation is answered with ERROR and raised.  So
     is a failed ``make_instance``: a ``ProtocolError`` with its own code and
     detail, anything else as ``init-failed``.  An exception from the running
@@ -446,23 +445,23 @@ def serve_session(
             raise
 
     transport.send_line(encode(Hello()))
-    msg = _recv_message(transport, timeout)
+    msg = _recv_message(transport)
     if not isinstance(msg, Init):
         raise _fail(transport, "protocol-violation", f"expected INIT, got {type(msg).__name__}")
     try:
-        handlers = make_instance(msg)
+        instance = make_instance(msg)
     except ProtocolError as exc:
         raise _fail(transport, exc.code, exc.detail) from exc
     except Exception as exc:
         raise _fail(transport, "init-failed", str(exc)) from exc
 
     while True:
-        msg = _recv_message(transport, timeout)
+        msg = _recv_message(transport)
         if isinstance(msg, Continue):
-            entities, counters = answer(lambda: handlers.run_step(msg.timestep))
+            entities, counters = answer(lambda: instance.run_one_coarse_step(msg.timestep))
             transport.send_line(encode(StepResult(msg.timestep, entities, counters)))
         elif isinstance(msg, End):
-            entities, counters = answer(handlers.finalize)
+            entities, counters = answer(instance.finalize)
             transport.send_line(encode(Final(entities, counters)))
             return
         else:

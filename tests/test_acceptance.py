@@ -279,16 +279,16 @@ def test_c07_sessions_are_lock_step_and_transport_invariant(verdicts):
     client_t.send_line(encode(StepResult(0, (), Counters())))
     server_err = None
     try:
-        serve_session(server_t, lambda init: None, timeout=1)
+        serve_session(server_t, lambda init: None)
     except ProtocolError as exc:
         server_err = exc.code
-    assert decode(client_t.recv_line(timeout=1)) == Hello()
-    answered = decode(client_t.recv_line(timeout=1))
+    assert decode(client_t.recv_line()) == Hello()
+    answered = decode(client_t.recv_line())
 
     client_t2, server_t2 = loopback_pair()
     server_t2.send_line(encode(Hello()))
     server_t2.send_line(encode(StepResult(9, (), Counters())))
-    client = SessionClient(client_t2, timeout=1)
+    client = SessionClient(client_t2)
     client.handshake(Init("x", 1, 4, 10, ()))
     client_err = None
     try:

@@ -1,5 +1,6 @@
 """Measurement plumbing, sweep plans, and the command-line front end."""
 
+import csv
 import importlib.util
 import json
 import re
@@ -17,7 +18,6 @@ from iotsim.bench import (
     collect_metrics,
     concurrent_schedule,
     measure_peak_memory,
-    run_and_measure,
     run_experiment,
     sequential_schedule,
 )
@@ -75,7 +75,7 @@ def test_collect_metrics_decomposes_wall_clock():
 
 
 def test_metrics_json_round_trip():
-    metrics = run_and_measure(_mini())
+    metrics = collect_metrics(run_simulation(_mini()), measure_peak_memory())
     clone = RunMetrics.from_json_obj(json.loads(json.dumps(metrics.to_json_obj())))
     assert clone.counters == metrics.counters
     assert clone.total_wct == metrics.total_wct
@@ -157,6 +157,17 @@ def test_in_process_sweep_rows_and_determinism():
             assert a[col] == b[col]
 
 
+def test_in_process_sweep_reports_no_memory(tmp_path):
+    # The process's peak would cover every earlier run, so the column stays empty.
+    plan = ExperimentPlan(axis="num_ses", values=(10, 20), repetitions=1, base=_mini())
+    out = tmp_path / "sweep.csv"
+    run_experiment(plan, out_path=str(out), in_process=True)
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert all(r["peak_rss_l0_mean"] == r["peak_rss_l0_std"] == "" for r in rows)
+
+
 def test_in_process_sweep_over_a_float_option(tmp_path):
     path = tmp_path / "plan.txt"
     path.write_text(
@@ -174,7 +185,7 @@ def test_in_process_sweep_over_a_float_option(tmp_path):
 
 def test_sweep_notes_failed_repetitions_and_continues(monkeypatch, capsys):
     calls = {"n": 0}
-    real = bench.run_and_measure
+    real = bench.run_simulation
 
     def flaky(config):
         calls["n"] += 1
@@ -182,7 +193,7 @@ def test_sweep_notes_failed_repetitions_and_continues(monkeypatch, capsys):
             raise RuntimeError("synthetic crash")
         return real(config)
 
-    monkeypatch.setattr(bench, "run_and_measure", flaky)
+    monkeypatch.setattr(bench, "run_simulation", flaky)
     plan = ExperimentPlan(axis="num_ses", values=(10, 20), repetitions=2, base=_mini())
     rows = run_experiment(plan, in_process=True)
     assert [r["status"] for r in rows] == ["partial", "ok"]

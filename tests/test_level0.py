@@ -6,13 +6,16 @@ import subprocess
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from test_fingerprint_pin import PINS
 
 import iotsim.cli as cli
 import iotsim.level0 as level0
 import iotsim.level1 as level1
+import iotsim.protocol as protocol
 from iotsim.config import SimConfig, SpawnTrigger
 from iotsim.dissemination import MessageCache
 from iotsim.level0 import (
@@ -23,7 +26,7 @@ from iotsim.level0 import (
     run_simulation,
 )
 from iotsim.model import Entity
-from iotsim.protocol import EntityRecord, Init, ProtocolError, SessionClient, connect_tcp, decode
+from iotsim.protocol import EntityRecord, Init, SessionClient, connect_tcp, decode
 
 
 def _entity(eid, x, y, kind="static"):
@@ -271,19 +274,6 @@ def test_session_time_is_within_its_lp_step_time(num_lps):
 # -- failure paths ----------------------------------------------------------------
 
 
-def test_reintegration_outside_region_is_rejected():
-    cfg = _tiny_config(generation_prob=0.0)
-    engine = SimEngine(cfg)
-    lp = engine.lps[0]
-    eid = next(iter(lp.entities))
-    entity = lp.entities.pop(eid)
-    lp.delegated[eid] = entity
-    bad = EntityRecord(eid, lp.x1 - lp.x0 + 1.0, 5.0, entity.kind)
-    lp.pending_reint.append((entity, bad))
-    with pytest.raises(ProtocolError, match="region-violation"):
-        engine.advance_timestep(0)
-
-
 def test_session_failure_aborts_run_with_instance_name(monkeypatch):
     def broken(init):
         raise RuntimeError("instance refused to start")
@@ -330,14 +320,14 @@ def test_concurrent_session_failure_waits_for_every_session(monkeypatch, failing
     assert [th.name for th in threading.enumerate() if th.name.startswith(("lp", "l1-"))] == []
 
 
-def _fake_session_run(monkeypatch, finalize_records, at_timestep=0):
-    """Run 2 steps with one loopback session whose FINAL is ``finalize_records(init)``."""
-    from iotsim.protocol import Counters, InstanceHandlers
+def _fake_session_engine(monkeypatch, finalize_records, at_timestep=0):
+    """An engine for 2 steps with one loopback session whose FINAL is ``finalize_records(init)``."""
+    from iotsim.protocol import Counters
 
     def fake_handlers(init):
         final = finalize_records(init)
-        return InstanceHandlers(
-            run_step=lambda t: (init.entities, Counters()),
+        return SimpleNamespace(
+            run_one_coarse_step=lambda t: (init.entities, Counters()),
             finalize=lambda: (final, Counters()),
         )
 
@@ -351,7 +341,7 @@ def _fake_session_run(monkeypatch, finalize_records, at_timestep=0):
         l1_transport="loopback",
         seed=3,
     )
-    return run_simulation(cfg)
+    return SimEngine(cfg)
 
 
 def test_unknown_entity_in_final_is_rejected(monkeypatch):
@@ -359,18 +349,21 @@ def test_unknown_entity_in_final_is_rejected(monkeypatch):
         return (EntityRecord(424242, 1.0, 1.0, "static"),)
 
     with pytest.raises(SimulationError):
-        _fake_session_run(monkeypatch, alien)
+        _fake_session_engine(monkeypatch, alien).run()
 
 
 @pytest.mark.parametrize("at_timestep", [0, 1], ids=["mid-run", "last-step"])
 def test_reintegration_outside_region_aborts_run(monkeypatch, at_timestep):
-    # A session on the last step returns after the step loop; its entities
-    # get the same region check as those that return mid-run.
+    # The positions are checked where the session ends, in its own step,
+    # whether a later step or the end of the run reintegrates them.
     def far_away(init):
         return tuple(EntityRecord(r.id, 1e6, r.y, r.kind) for r in init.entities)
 
-    with pytest.raises(SimulationError, match="region-violation"):
-        _fake_session_run(monkeypatch, far_away, at_timestep)
+    engine = _fake_session_engine(monkeypatch, far_away, at_timestep)
+    for t in range(at_timestep):
+        engine.advance_timestep(t)
+    with pytest.raises(SimulationError, match=f"t{at_timestep}-lp0-0.*region-violation"):
+        engine.advance_timestep(at_timestep)
 
 
 def test_final_repeating_an_id_aborts_run_with_instance_name(monkeypatch):
@@ -378,7 +371,7 @@ def test_final_repeating_an_id_aborts_run_with_instance_name(monkeypatch):
         return init.entities + init.entities[:1]
 
     with pytest.raises(SimulationError, match="t0-lp0-0.*entity-mismatch"):
-        _fake_session_run(monkeypatch, repeated)
+        _fake_session_engine(monkeypatch, repeated).run()
 
 
 # -- the TCP session template ---------------------------------------------------------
@@ -441,14 +434,14 @@ def test_tcp_sessions_start_their_template_only_inside_run(monkeypatch):
 
 
 _REPEATED_ID = """
-from iotsim.protocol import InstanceHandlers
+from types import SimpleNamespace
 healthy = level1.make_handlers
 def make_handlers(init):
-    handlers = healthy(init)
+    instance = healthy(init)
     def finalize():
-        entities, counters = handlers.finalize()
+        entities, counters = instance.finalize()
         return entities + entities[:1], counters
-    return InstanceHandlers(handlers.run_step, finalize)
+    return SimpleNamespace(run_one_coarse_step=instance.run_one_coarse_step, finalize=finalize)
 level1.make_handlers = make_handlers
 """
 
@@ -481,8 +474,8 @@ def test_child_that_never_sends_hello_is_given_up(monkeypatch):
     seen = _watch_template(
         monkeypatch, "import time\nlevel1.serve_session = lambda *args: time.sleep(60)"
     )
-    # The client's reads take the patched timeout too, not the 30 s it was bound to.
-    monkeypatch.setattr(level0, "DEFAULT_TIMEOUT", 0.5)
+    # The client's transport is made after the patch: it waits 0.5 s, not 30 s.
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.5)
     started = time.perf_counter()
     with pytest.raises(SimulationError, match="t0-lp0-0.*timeout: timed out waiting for peer"):
         run_simulation(_TCP_RUN)
@@ -499,8 +492,8 @@ def test_session_child_refuses_an_init_for_another_instance():
     try:
         pid, reports = template.start("expected-id", conn)
         with reports:
-            SessionClient(transport, timeout=10).handshake(Init("other-id", 1, 4, 50, ()))
-            refusal = decode(transport.recv_line(timeout=10))
+            SessionClient(transport).handshake(Init("other-id", 1, 4, 50, ()))
+            refusal = decode(transport.recv_line())
             lines = list(level0._report_lines(reports, "did not exit"))
     finally:
         transport.close()
@@ -523,7 +516,7 @@ level1.serve_session = serve_session
 
 def test_instance_that_does_not_exit_is_killed_and_reaped(monkeypatch):
     seen = _watch_template(monkeypatch, _STUCK_AFTER_FINAL)
-    monkeypatch.setattr(level0, "DEFAULT_TIMEOUT", 1.0)
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 1.0)
     with pytest.raises(SimulationError, match="t0-lp0-0.*did not exit"):
         run_simulation(_TCP_RUN)
     # It would sleep for a minute: gone now means killed, and not a zombie means reaped.
@@ -631,10 +624,10 @@ def test_small_run_is_identical_for_any_stripe_count():
 def test_audit_tracks_extremes_and_duplicates():
     audit = DeliveryAudit(ttl=3, record_receipts=True)
     assert audit.max_trace_len == 0
-    audit.record((1, 0), 3, [5])
-    audit.record((1, 0), 2, [6, 7])
-    audit.record((1, 0), 2, [6])
-    audit.record((2, 0), 1, [5])
+    audit.record_many([(1, 0)], np.array([5]), 3)
+    audit.record_many([(1, 0), (1, 0)], np.array([6, 7]), 2)
+    audit.record_many([(1, 0)], np.array([6]), 2)
+    audit.record_many([(2, 0)], np.array([5]), 1)
     assert audit.max_trace_len == 3
     assert audit.min_ttl_seen == 1
     assert audit.receiver_sets() == {(1, 0): frozenset({5, 6, 7}), (2, 0): frozenset({5})}

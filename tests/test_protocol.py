@@ -3,10 +3,11 @@
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from iotsim import level1
+from iotsim import level1, protocol
 from iotsim.protocol import (
     Continue,
     Counters,
@@ -16,7 +17,6 @@ from iotsim.protocol import (
     Final,
     Hello,
     Init,
-    InstanceHandlers,
     ProtocolError,
     SessionClient,
     StepResult,
@@ -116,6 +116,21 @@ def test_entity_record_rejects_unknown_kind():
             b'"counters":{"rreq":0,"rrep":0,"arrivals":0,"events_processed":0}}\n',
             "bad-field",
         ),
+        (
+            b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100,'
+            b'"entities":[{"id":1,"x":NaN,"y":0,"kind":"mobile"}]}\n',
+            "bad-field",
+        ),
+        (
+            b'{"type":"FINAL","entities":[{"id":1,"x":0,"y":Infinity,"kind":"mobile","arrived":true,"hops":null}],'
+            b'"counters":{"rreq":0,"rrep":0,"arrivals":0,"events_processed":0}}\n',
+            "bad-field",
+        ),
+        (
+            b'{"type":"STEP_RESULT","timestep":0,"entities":[],'
+            b'"counters":{"rreq":0,"rrep":-5,"arrivals":0,"events_processed":0}}\n',
+            "bad-field",
+        ),
     ],
 )
 def test_decode_rejects_malformed_lines(line, code):
@@ -124,7 +139,23 @@ def test_decode_rejects_malformed_lines(line, code):
     assert excinfo.value.code == code
 
 
+def test_decode_rejects_an_int_too_large_for_a_float():
+    line = (
+        b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100,'
+        b'"entities":[{"id":1,"x":0,"y":' + b"9" * 400 + b',"kind":"mobile"}]}\n'
+    )
+    with pytest.raises(ProtocolError, match="non-finite") as excinfo:
+        decode(line)
+    assert excinfo.value.code == "bad-field"
+
+
 # -- transports ---------------------------------------------------------------
+
+
+@pytest.fixture(autouse=True)
+def short_timeout(monkeypatch):
+    """A session that would hang gives up in seconds, not the default 30 s."""
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 5.0)
 
 
 @pytest.fixture
@@ -142,24 +173,25 @@ def pair():
         end.close()
 
 
-def test_loopback_timeout_and_close(pair):
+def test_loopback_timeout_and_close(pair, monkeypatch):
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.05)
     a, _ = pair()
     with pytest.raises(TransportTimeout):
-        a.recv_line(timeout=0.05)
+        a.recv_line()
     # A reader that timed out is not read again: a fresh pair for the rest.
     a, b = pair()
     b.send_line(b"ping\n")
-    assert a.recv_line(timeout=1) == b"ping\n"
+    assert a.recv_line() == b"ping\n"
     b.close()
     with pytest.raises(TransportClosed):
-        a.recv_line(timeout=1)
+        a.recv_line()
 
 
 def test_loopback_frames_lines_like_tcp(pair):
     a, b = pair()
     a.send_line(b"a\nb\n")
-    assert b.recv_line(timeout=1) == b"a\n"
-    assert b.recv_line(timeout=1) == b"b\n"
+    assert b.recv_line() == b"a\n"
+    assert b.recv_line() == b"b\n"
 
 
 def test_refused_connect_fails_at_once_naming_the_port(monkeypatch):
@@ -199,9 +231,9 @@ def test_transcripts_log_both_directions(pair):
     log_a, log_b = [], []
     a, b = pair(transcript_a=log_a, transcript_b=log_b)
     a.send_line(b"x\n")
-    b.recv_line(timeout=1)
+    b.recv_line()
     b.send_line(b"y\n")
-    a.recv_line(timeout=1)
+    a.recv_line()
     assert log_a == [("send", b"x\n"), ("recv", b"y\n")]
     assert log_b == [("recv", b"x\n"), ("send", b"y\n")]
 
@@ -209,10 +241,10 @@ def test_transcripts_log_both_directions(pair):
 # -- session state machine ------------------------------------------------------
 
 
-def _echo_handlers(init: Init) -> InstanceHandlers:
+def _echo_handlers(init: Init) -> SimpleNamespace:
     records = tuple(EntityRecord(r.id, r.x, r.y, r.kind) for r in init.entities)
-    return InstanceHandlers(
-        run_step=lambda t: (records, Counters(events_processed=t + 1)),
+    return SimpleNamespace(
+        run_one_coarse_step=lambda t: (records, Counters(events_processed=t + 1)),
         finalize=lambda: (records, Counters()),
     )
 
@@ -222,7 +254,7 @@ def _serve_in_thread(transport, make_instance):
 
     def run():
         try:
-            serve_session(transport, make_instance, timeout=5)
+            serve_session(transport, make_instance)
         except ProtocolError as exc:
             errors.append(exc)
 
@@ -244,7 +276,7 @@ def _sample_init(n=2):
 def test_full_session_lock_step(pair):
     client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, _echo_handlers)
-    client = SessionClient(client_t, timeout=5)
+    client = SessionClient(client_t)
     client.handshake(_sample_init())
     for t in range(3):
         result = client.step(t)
@@ -256,15 +288,24 @@ def test_full_session_lock_step(pair):
     assert errors == []
 
 
+def test_serve_session_waits_for_init_only_as_long_as_the_patched_timeout(pair, monkeypatch):
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.2)
+    _, server_t = pair()
+    started = time.perf_counter()
+    with pytest.raises(TransportTimeout):
+        serve_session(server_t, _echo_handlers)
+    assert time.perf_counter() - started < 2.0
+
+
 def test_server_rejects_wrong_first_message(pair):
     client_t, server_t = pair()
     # Preload the wrong opener; the socket buffers it, so no thread is needed.
     client_t.send_line(encode(StepResult(0, (), Counters())))
     with pytest.raises(ProtocolError) as excinfo:
-        serve_session(server_t, _echo_handlers, timeout=1)
+        serve_session(server_t, _echo_handlers)
     assert excinfo.value.code == "protocol-violation"
-    assert decode(client_t.recv_line(timeout=1)) == Hello()
-    err = decode(client_t.recv_line(timeout=1))
+    assert decode(client_t.recv_line()) == Hello()
+    err = decode(client_t.recv_line())
     assert isinstance(err, Error) and err.code == "protocol-violation"
 
 
@@ -272,15 +313,15 @@ def test_server_rejects_continue_after_end(pair):
     client_t, server_t = pair()
     client_t.send_line(encode(_sample_init()))
     client_t.send_line(encode(End()))
-    serve_session(server_t, _echo_handlers, timeout=1)  # completes cleanly
-    assert decode(client_t.recv_line(timeout=1)) == Hello()
-    assert isinstance(decode(client_t.recv_line(timeout=1)), Final)
+    serve_session(server_t, _echo_handlers)  # completes cleanly
+    assert decode(client_t.recv_line()) == Hello()
+    assert isinstance(decode(client_t.recv_line()), Final)
 
 
 def test_client_rejects_wrong_handshake(pair):
     client_t, server_t = pair()
     server_t.send_line(encode(Continue(1)))
-    client = SessionClient(client_t, timeout=1)
+    client = SessionClient(client_t)
     with pytest.raises(ProtocolError) as excinfo:
         client.handshake(_sample_init())
     assert excinfo.value.code == "protocol-violation"
@@ -289,7 +330,7 @@ def test_client_rejects_wrong_handshake(pair):
 def test_client_rejects_version_mismatch(pair):
     client_t, server_t = pair()
     server_t.send_line(encode(Hello(version=2)))
-    client = SessionClient(client_t, timeout=1)
+    client = SessionClient(client_t)
     with pytest.raises(ProtocolError) as excinfo:
         client.handshake(_sample_init())
     assert excinfo.value.code == "version-mismatch"
@@ -299,7 +340,7 @@ def test_client_rejects_step_result_for_wrong_timestep(pair):
     client_t, server_t = pair()
     server_t.send_line(encode(Hello()))
     server_t.send_line(encode(StepResult(9, (), Counters())))
-    client = SessionClient(client_t, timeout=1)
+    client = SessionClient(client_t)
     client.handshake(_sample_init(n=0))
     with pytest.raises(ProtocolError) as excinfo:
         client.step(3)
@@ -307,17 +348,17 @@ def test_client_rejects_step_result_for_wrong_timestep(pair):
 
 
 def test_client_rejects_final_with_changed_ids(pair):
-    def bad_final(init: Init) -> InstanceHandlers:
+    def bad_final(init: Init) -> SimpleNamespace:
         good = tuple(EntityRecord(r.id, r.x, r.y, r.kind) for r in init.entities)
         swapped = (EntityRecord(999, 0.0, 0.0, "static"),)
-        return InstanceHandlers(
-            run_step=lambda t: (good, Counters()),
+        return SimpleNamespace(
+            run_one_coarse_step=lambda t: (good, Counters()),
             finalize=lambda: (swapped, Counters()),
         )
 
     client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, bad_final)
-    client = SessionClient(client_t, timeout=5)
+    client = SessionClient(client_t)
     client.handshake(_sample_init())
     client.step(0)
     with pytest.raises(ProtocolError) as excinfo:
@@ -330,16 +371,16 @@ def test_client_rejects_final_with_changed_ids(pair):
 
 
 def test_client_rejects_final_that_repeats_an_id(pair):
-    def repeated_final(init: Init) -> InstanceHandlers:
+    def repeated_final(init: Init) -> SimpleNamespace:
         good = init.entities
-        return InstanceHandlers(
-            run_step=lambda t: (good, Counters()),
+        return SimpleNamespace(
+            run_one_coarse_step=lambda t: (good, Counters()),
             finalize=lambda: (good + good[:1], Counters()),
         )
 
     client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, repeated_final)
-    client = SessionClient(client_t, timeout=5)
+    client = SessionClient(client_t)
     client.handshake(_sample_init())
     client.step(0)
     with pytest.raises(ProtocolError) as excinfo:
@@ -350,16 +391,16 @@ def test_client_rejects_final_that_repeats_an_id(pair):
 
 
 def test_client_rejects_step_result_with_changed_ids(pair):
-    def bad_step(init: Init) -> InstanceHandlers:
+    def bad_step(init: Init) -> SimpleNamespace:
         good = init.entities
-        return InstanceHandlers(
-            run_step=lambda t: (good + good[:1], Counters()),
+        return SimpleNamespace(
+            run_one_coarse_step=lambda t: (good + good[:1], Counters()),
             finalize=lambda: (good, Counters()),
         )
 
     client_t, server_t = pair()
     thread, errors = _serve_in_thread(server_t, bad_step)
-    client = SessionClient(client_t, timeout=5)
+    client = SessionClient(client_t)
     client.handshake(_sample_init())
     with pytest.raises(ProtocolError) as excinfo:
         client.step(0)
@@ -370,7 +411,7 @@ def test_client_rejects_step_result_with_changed_ids(pair):
     assert [e.code for e in errors] == ["entity-mismatch"]
 
 
-@pytest.mark.parametrize("crash_in", ["run_step", "finalize"])
+@pytest.mark.parametrize("crash_in", ["run_one_coarse_step", "finalize"], ids=["run_step", "finalize"])
 def test_instance_crash_is_answered_on_the_wire(crash_in, pair):
     def crash(*_):
         raise KeyError("lost entity 42")
@@ -385,18 +426,18 @@ def test_instance_crash_is_answered_on_the_wire(crash_in, pair):
         client_t.send_line(encode(msg))
     # Raised as itself, so the instance's host can name the cause too.
     with pytest.raises(KeyError, match="lost entity 42"):
-        serve_session(server_t, make_instance, timeout=1)
+        serve_session(server_t, make_instance)
     lines = []
-    while (line := client_t.recv_line(timeout=1)) and not line.startswith(b'{"type":"ERROR"'):
+    while (line := client_t.recv_line()) and not line.startswith(b'{"type":"ERROR"'):
         lines.append(line)
     assert line == b'{"type":"ERROR","code":"instance-failed","detail":"KeyError: \'lost entity 42\'"}\n'
-    assert len(lines) == (1 if crash_in == "run_step" else 2)  # HELLO, then any STEP_RESULT
+    assert len(lines) == (1 if crash_in == "run_one_coarse_step" else 2)  # HELLO, then any STEP_RESULT
 
 
 def test_error_reply_propagates_to_caller(pair):
     client_t, server_t = pair()
     server_t.send_line(encode(Error("instance-failed", "boom")))
-    client = SessionClient(client_t, timeout=1)
+    client = SessionClient(client_t)
     with pytest.raises(ProtocolError) as excinfo:
         client.handshake(_sample_init())
     assert excinfo.value.code == "instance-failed"
@@ -407,7 +448,7 @@ def test_error_reply_propagates_to_caller(pair):
 
 def _run_session_collect(client_t, server_t, init, steps=2):
     thread, errors = _serve_in_thread(server_t, level1.make_handlers)
-    client = SessionClient(client_t, timeout=10)
+    client = SessionClient(client_t)
     client.handshake(init)
     for t in range(steps):
         client.step(t)
