@@ -111,13 +111,6 @@ def sequential_schedule(
     )
 
 
-def concurrent_schedule(
-    num_lps: int, at_timestep: int, entity_count: int = 1
-) -> tuple[SpawnTrigger, ...]:
-    """One trigger per LP at the same timestep: all sessions run at once."""
-    return tuple(SpawnTrigger(at_timestep, lp, entity_count) for lp in range(num_lps))
-
-
 # -- experiment plans ------------------------------------------------------------
 
 # What a plan can sweep, shaped like config.OPTIONS: every option except the

@@ -90,17 +90,24 @@ class LogicalProcess:
     pending_reint: list[tuple[Entity, float, float]] = field(default_factory=list)
 
 
-def stripe_of(x: float, world: ToroidalWorld, num_lps: int) -> int:
-    """The stripe holding ``x``, of ``num_lps`` equal-width ones."""
-    return min(int(x / (world.width / num_lps)), num_lps - 1)
+def stripe_of(entities: list[Entity], world: ToroidalWorld, num_lps: int) -> np.ndarray:
+    """The stripe holding each entity's x, of ``num_lps`` equal-width ones.
+
+    Positions are wrapped, so x >= 0 and truncating the float64 quotient is
+    its floor; an x whose quotient rounds up to ``num_lps`` is in the last
+    stripe.  This is the only stripe formula: seeding and both migration
+    phases use it.
+    """
+    xs = np.fromiter((e.x for e in entities), dtype=np.float64, count=len(entities))
+    return np.minimum((xs / (world.width / num_lps)).astype(np.int64), num_lps - 1)
 
 
 def partition(config: SimConfig, entities: list[Entity], world: ToroidalWorld) -> list[LogicalProcess]:
     """Equal-width stripes; each entity goes to the stripe holding its x."""
     n = config.num_lps
     lps = [LogicalProcess(i, i * world.width / n, (i + 1) * world.width / n) for i in range(n)]
-    for e in entities:
-        lps[stripe_of(e.x, world, n)].entities[e.id] = e
+    for e, stripe in zip(entities, stripe_of(entities, world, n).tolist()):
+        lps[stripe].entities[e.id] = e
     return lps
 
 
@@ -334,20 +341,16 @@ class SimEngine:
         # Reintegrations from last step's sessions re-enter here, then the
         # normal stripe sweep re-homes whoever moved.
         self._reintegrate(lp)
-        # ``stripe_of`` for every entity at once: x >= 0, and the float64
-        # division and truncation are the scalar ones.
-        n = self.config.num_lps
         entities = list(lp.entities.values())
-        xs = np.fromiter((e.x for e in entities), dtype=np.float64, count=len(entities))
-        stripes = np.minimum((xs / (self.world.width / n)).astype(np.int64), n - 1)
+        stripes = stripe_of(entities, self.world, self.config.num_lps)
         for k in np.flatnonzero(stripes != lp.lp_id).tolist():
             self._migrating.append(lp.entities.pop(entities[k].id))
 
     def _phase_migrate_in(self) -> None:
         """Hand every migrating entity to the LP of its new stripe."""
-        n = self.config.num_lps
-        for entity in self._migrating:
-            self.lps[stripe_of(entity.x, self.world, n)].entities[entity.id] = entity
+        stripes = stripe_of(self._migrating, self.world, self.config.num_lps).tolist()
+        for entity, stripe in zip(self._migrating, stripes):
+            self.lps[stripe].entities[entity.id] = entity
         self._migrating.clear()
 
     # -- delegation and sessions ----------------------------------------------

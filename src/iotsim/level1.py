@@ -1,11 +1,13 @@
 """Fine-grained discrete-event simulator: a wireless grid plus walking entities.
 
 One instance hosts a square grid of fixed nodes (a local device mesh) and the
-entities delegated to it.  A mobile entity broadcasts a route query; the query
-floods the mesh hop by hop, the destination node answers along the reverse
-path with its position, and the entity then walks toward it.  Time is an
-integer count of fine ticks; ``fine_steps`` ticks make up one coarse timestep
-of the driving simulation.
+entities delegated to it.  Every route is discovered from an entity: a
+mobile entity broadcasts a route query to the nodes in its radio range, the
+query floods the mesh hop by hop, and the destination node answers along the
+reverse path with its position and the hop count.  The entity then walks
+straight to that node at ``WALK_SPEED`` per coarse timestep until it is
+within ``ARRIVAL_RADIUS``.  Time is an integer count of fine ticks;
+``fine_steps`` ticks make up one coarse timestep of the driving simulation.
 
 ``python -m iotsim.level1`` is the session template the coarse engine starts
 once per TCP run (see ``serve_forks``): it loads only this module, the
@@ -23,6 +25,7 @@ import os
 import signal
 import socket
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Optional
@@ -61,10 +64,6 @@ class SchedulingError(RuntimeError):
 
 
 class EventQueueOverflow(RuntimeError):
-    pass
-
-
-class RouteDiscoveryTimeout(RuntimeError):
     pass
 
 
@@ -151,11 +150,6 @@ class GridScenario:
                 for n in range(side * side)
             )
         return cls(side, spacing, radio_range, positions, neighbors, destination)
-
-    def with_destination(self, destination: int) -> "GridScenario":
-        return GridScenario(
-            self.side, self.spacing, self.radio_range, self.positions, self.neighbors, destination
-        )
 
     def node_pos(self, node: int) -> tuple[float, float]:
         return self.positions[node]
@@ -251,12 +245,16 @@ class _Counters:
 
 
 class L1Instance:
-    """One fine-grained session; strictly single-threaded and deterministic."""
+    """One fine-grained session; strictly single-threaded and deterministic.
+
+    Construction runs the warm-up (grid housekeeping only) and queues each
+    mobile entity's first route query, so the first coarse step starts
+    entity behaviour at ``WARMUP_TICKS``.
+    """
 
     def __init__(self, scenario: GridScenario, entities: list[L1Entity], fine_steps: int) -> None:
         self.scenario = scenario
         self.entities = {e.id: e for e in entities}
-        self.entity_order = [e.id for e in entities]
         self.fine_steps = fine_steps
         self.step_len = WALK_SPEED / fine_steps
         self.queue = EventQueue()
@@ -278,20 +276,24 @@ class L1Instance:
         self.rreq_seen: set[tuple[int, int, int]] = set()
         # Later copies change nothing but the event count: tick -> copies.
         self.rreq_dropped: dict[int, int] = {}
-        self.node_rrep_result: dict[int, int] = {}
         # Entities walking to their destination -> the next tick they step.
         self.walkers: dict[int, int] = {}
-
-    # -- construction -------------------------------------------------------
+        self._run_until(WARMUP_TICKS)
+        for entity in self.entities.values():
+            if entity.kind == "mobile":
+                self.queue.schedule(WARMUP_TICKS, (EventKind.QUERY, entity.id))
 
     @classmethod
     def from_init(cls, init: Init) -> "L1Instance":
-        """Build and bootstrap (warm-up included) from an INIT payload.
+        """Build one from an INIT payload; an id named twice is a ``bad-field``.
 
         The wire carries no region geometry, so the grid is centered on the
         delegated cohort itself; with no entities it sits at the local origin.
         The destination node is drawn from the session seed.
         """
+        repeated = [eid for eid, count in Counter(r.id for r in init.entities).items() if count > 1]
+        if repeated:
+            raise ProtocolError("bad-field", f"INIT names entity {repeated[0]} more than once")
         stream = rng.substream(init.seed, rng.LEVEL1)
         destination = stream.randrange(init.grid_side * init.grid_side)
         half = (init.grid_side - 1) * GRID_SPACING / 2.0
@@ -303,17 +305,7 @@ class L1Instance:
             anchor = (0.0, 0.0)
         scenario = GridScenario.build(init.grid_side, destination, anchor=anchor)
         entities = [L1Entity(r.id, r.x, r.y, r.kind) for r in init.entities]
-        inst = cls(scenario, entities, init.fine_steps)
-        inst._bootstrap()
-        return inst
-
-    def _bootstrap(self) -> None:
-        # Warm-up: grid housekeeping only, then entity behavior begins.
-        self._run_until(WARMUP_TICKS)
-        for eid in self.entity_order:
-            entity = self.entities[eid]
-            if entity.kind == "mobile":
-                self.queue.schedule(WARMUP_TICKS, (EventKind.QUERY, eid))
+        return cls(scenario, entities, init.fine_steps)
 
     # -- event loop ---------------------------------------------------------
 
@@ -405,26 +397,23 @@ class L1Instance:
         self._send_rreq(tick + 1, self._entry_nodes(entity.x, entity.y), origin, entity.query_seq, 1, origin)
         self.queue.schedule(tick + QUERY_RETRY_TICKS, (EventKind.QUERY, eid))
 
-    def _flood_from_node(self, tick: int, source: int, seq: int) -> None:
-        self._send_rreq(tick + 1, self.scenario.neighbors[source], source, seq, 1, source)
-
     def _send_rreq(
         self, tick: int, nodes: Iterable[int], origin: int, seq: int, hops: int, prev: int
     ) -> None:
         """One RREQ broadcast: a copy for each of ``nodes``, handled at ``tick``.
 
-        Only a node's first copy of a flood acts; later ones, and the flood
-        echoed to its origin, are dropped on arrival.  Every RREQ is sent for
-        ``now + 1`` and the queue is FIFO among equal ticks, so the first copy
-        queued is the first handled: it claims its key here, and the copies
-        that would be dropped are only counted, as the events they would be.
+        Only a node's first copy of a flood acts; later ones are dropped on
+        arrival.  Every RREQ is sent for ``now + 1`` and the queue is FIFO
+        among equal ticks, so the first copy queued is the first handled: it
+        claims its key here, and the copies that would be dropped are only
+        counted, as the events they would be.
         """
         self.counters.rreq += 1
         seen = self.rreq_seen
         dropped = 0
         for node in nodes:
             key = (origin, seq, node)
-            if node == origin or key in seen:
+            if key in seen:
                 dropped += 1
             else:
                 seen.add(key)
@@ -454,9 +443,6 @@ class L1Instance:
         self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, dest_pos, route_hops))
 
     def _deliver_rrep(self, tick: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
-        if origin >= 0:
-            self.node_rrep_result.setdefault(origin, route_hops)
-            return
         ident = ~origin
         entity = self.entities[ident]
         if entity.dest_pos is not None:
@@ -486,29 +472,8 @@ class L1Instance:
                 arrived=e.arrived,
                 hops=e.route_hops,
             )
-            for e in (self.entities[eid] for eid in self.entity_order)
+            for e in self.entities.values()
         )
-
-
-def discover_route(scenario: GridScenario, source: int, destination: int) -> int:
-    """Hop count from a grid node to ``destination``, via flood discovery.
-
-    Standalone probe used by tests and tooling: no entities, the
-    source node floods at tick 0 and the answer returns along the reverse
-    path.  Raises RouteDiscoveryTimeout if the mesh is disconnected.
-    """
-    if source == destination:
-        return 0
-    probe = scenario if scenario.destination == destination else scenario.with_destination(destination)
-    inst = L1Instance(probe, [], fine_steps=1)
-    inst._flood_from_node(0, source, 1)
-    while source not in inst.node_rrep_result:
-        item = inst.queue.pop()
-        if item is None:
-            raise RouteDiscoveryTimeout(f"no route from {source} to {destination}")
-        inst.counters.events_processed += 1
-        inst._dispatch(*item)
-    return inst.node_rrep_result[source]
 
 
 def make_handlers(init: Init) -> L1Instance:

@@ -199,18 +199,18 @@ def encode(msg: CoordMessage) -> bytes:
 
 def _require(obj: dict, key: str, kinds) -> object:
     if key not in obj:
-        raise ProtocolError("bad-field", f"missing {key!r} in {obj.get('type')}")
+        raise ProtocolError("bad-field", f"missing {key!r}")
     value = obj[key]
     # bool is an int subclass; only accept it where bool is asked for.
     if not isinstance(value, kinds) or (kinds is not bool and isinstance(value, bool)):
-        raise ProtocolError("bad-field", f"{key!r} has wrong type in {obj.get('type')}")
+        raise ProtocolError("bad-field", f"{key!r} has wrong type")
     return value
 
 
 def _require_at_least(obj: dict, key: str, low: int) -> int:
     value = _require(obj, key, int)
     if value < low:
-        raise ProtocolError("bad-field", f"{key!r} is {value}, below {low}, in {obj.get('type')}")
+        raise ProtocolError("bad-field", f"{key!r} is {value}, below {low}")
     return value
 
 
@@ -249,37 +249,41 @@ def decode(line: bytes) -> CoordMessage:
     if not isinstance(obj, dict):
         raise ProtocolError("bad-message", "line is not a JSON object")
     mtype = obj.get("type")
-    if mtype == "HELLO":
-        return Hello(version=_require(obj, "version", int))
-    if mtype == "INIT":
-        entities = _require(obj, "entities", list)
-        return Init(
-            instance_id=_require(obj, "instance_id", str),
-            seed=_require(obj, "seed", int),
-            # SimConfig's bounds: a smaller grid or step count breaks the instance.
-            grid_side=_require_at_least(obj, "grid_side", 2),
-            fine_steps=_require_at_least(obj, "fine_steps", 1),
-            entities=tuple(_decode_record(r, with_status=False) for r in entities),
-        )
-    if mtype == "CONTINUE":
-        return Continue(timestep=_require(obj, "timestep", int))
-    if mtype == "STEP_RESULT":
-        entities = _require(obj, "entities", list)
-        return StepResult(
-            timestep=_require(obj, "timestep", int),
-            entities=tuple(_decode_record(r, with_status=True) for r in entities),
-            counters=_decode_counters(obj.get("counters")),
-        )
-    if mtype == "END":
-        return End()
-    if mtype == "FINAL":
-        entities = _require(obj, "entities", list)
-        return Final(
-            entities=tuple(_decode_record(r, with_status=True) for r in entities),
-            counters=_decode_counters(obj.get("counters")),
-        )
-    if mtype == "ERROR":
-        return Error(code=_require(obj, "code", str), detail=_require(obj, "detail", str))
+    try:
+        if mtype == "HELLO":
+            return Hello(version=_require(obj, "version", int))
+        if mtype == "INIT":
+            entities = _require(obj, "entities", list)
+            return Init(
+                instance_id=_require(obj, "instance_id", str),
+                seed=_require(obj, "seed", int),
+                # SimConfig's bounds: a smaller grid or step count breaks the instance.
+                grid_side=_require_at_least(obj, "grid_side", 2),
+                fine_steps=_require_at_least(obj, "fine_steps", 1),
+                entities=tuple(_decode_record(r, with_status=False) for r in entities),
+            )
+        if mtype == "CONTINUE":
+            return Continue(timestep=_require(obj, "timestep", int))
+        if mtype == "STEP_RESULT":
+            entities = _require(obj, "entities", list)
+            return StepResult(
+                timestep=_require(obj, "timestep", int),
+                entities=tuple(_decode_record(r, with_status=True) for r in entities),
+                counters=_decode_counters(obj.get("counters")),
+            )
+        if mtype == "END":
+            return End()
+        if mtype == "FINAL":
+            entities = _require(obj, "entities", list)
+            return Final(
+                entities=tuple(_decode_record(r, with_status=True) for r in entities),
+                counters=_decode_counters(obj.get("counters")),
+            )
+        if mtype == "ERROR":
+            return Error(code=_require(obj, "code", str), detail=_require(obj, "detail", str))
+    except ProtocolError as exc:
+        # Every field error, nested records and counters included, names its message.
+        raise ProtocolError(exc.code, f"{exc.detail} in {mtype}") from None
     raise ProtocolError("bad-message", f"unknown message type {mtype!r}")
 
 

@@ -1,4 +1,4 @@
-"""Toroidal 2D world geometry: the cell-list join and the disc query."""
+"""Toroidal 2D world geometry: wrap-around and the cell-list join."""
 
 from __future__ import annotations
 
@@ -68,9 +68,9 @@ class ToroidalWorld:
         Points and centres are wrapped positions.  The points are binned into
         cells strictly wider than ``radius`` (Allen & Tildesley's cell list),
         and each centre is tested against the points of its 3x3 block of
-        cells, with wrap.  The tests are the disc's own elementwise
-        expressions, so every boundary decision and every offset is the same
-        as a scan of all points; the boundary is inclusive.
+        cells, with wrap.  Each test is the elementwise expression a scan of
+        all points would use, so every boundary decision and every offset is
+        the same as that scan's; the boundary is inclusive.
 
         Yields chunks (centre index, point index, |dx|, |dy|), each sorted by
         (centre, point); the chunks cover consecutive centres in order.  A
@@ -120,15 +120,3 @@ class ToroidalWorld:
             hit = hit[np.argsort(ctr[hit] * len(xs) + pt[hit])]
             yield ctr[hit], pt[hit], dx[hit], dy[hit]
             start = stop
-
-    def disc(
-        self, xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, radius: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Points of wrapped (xs, ys) within ``radius`` of (cx, cy) on the torus.
-
-        Returns their indices in ascending order and, for each, the shortest
-        per-axis offsets |dx| and |dy|.  The boundary is inclusive: a point
-        at exactly ``radius`` is in range.  This is ``join`` with one centre.
-        """
-        ((_, hits, dx, dy),) = self.join(np.array([cx]), np.array([cy]), xs, ys, radius)
-        return hits, dx, dy

@@ -18,7 +18,6 @@ import iotsim.bench as bench
 from iotsim import rng
 from iotsim.bench import (
     ExperimentPlan,
-    concurrent_schedule,
     measure_peak_memory,
     run_experiment,
     sequential_schedule,
@@ -26,7 +25,7 @@ from iotsim.bench import (
 from iotsim.config import SimConfig, SpawnTrigger
 from iotsim.dissemination import generate_message, should_forward
 from iotsim.level0 import SimEngine, run_simulation
-from iotsim.level1 import GridScenario, L1Instance, discover_route
+from iotsim.level1 import GridScenario, L1Entity, L1Instance
 from iotsim.protocol import (
     Counters,
     EntityRecord,
@@ -330,16 +329,25 @@ def test_c08_discovered_routes_match_graph_distance_everywhere(verdicts):
                     dist[src][b] = dist[src][a] + 1
                     frontier.append(b)
 
+    # Through the path every session runs: one mobile entity on node src
+    # floods from src and its four neighbours, so its reply carries
+    # 1 + (dist(src, dst) - 1) hops.
+    def entity_hops(grid: GridScenario, src: int) -> int:
+        entity = L1Entity(1, *grid.node_pos(src), "mobile")
+        (record,), _ = L1Instance(grid, [entity], fine_steps=60).run_one_coarse_step(0)
+        return record.hops
+
     pairs = 0
     mismatches = 0
-    for src in range(n):
-        for dst in range(n):
+    for dst in range(n):
+        grid = GridScenario.build(side, destination=dst)
+        for src in range(n):
             if src == dst:
                 continue
             pairs += 1
-            if discover_route(scenario, src, dst) != dist[src][dst]:
+            if entity_hops(grid, src) != dist[src][dst]:
                 mismatches += 1
-    corner = discover_route(scenario, 0, n - 1)
+    corner = entity_hops(GridScenario.build(side, destination=n - 1), 0)
     _verdict(
         verdicts,
         "C08",
@@ -466,7 +474,10 @@ def test_c11_concurrent_sessions_beat_sequential_ones(verdicts):
     seq_wct = []
     for rep in range(3):
         conc = SimConfig(
-            num_lps=4, l1_schedule=concurrent_schedule(4, 50), seed=100 + rep, **common
+            num_lps=4,
+            l1_schedule=tuple(SpawnTrigger(50, lp, 1) for lp in range(4)),
+            seed=100 + rep,
+            **common,
         )
         seq = SimConfig(
             num_lps=1, l1_schedule=sequential_schedule(4, 100), seed=100 + rep, **common

@@ -16,7 +16,6 @@ from iotsim.bench import (
     RunMetrics,
     _union_span,
     collect_metrics,
-    concurrent_schedule,
     measure_peak_memory,
     run_experiment,
     sequential_schedule,
@@ -95,12 +94,6 @@ def test_sequential_schedule_spreads_triggers():
     assert all(t.lp_id == 0 and t.entity_count == 1 for t in triggers)
     with pytest.raises(ConfigError):
         sequential_schedule(100, 100)
-
-
-def test_concurrent_schedule_targets_every_stripe():
-    triggers = concurrent_schedule(4, at_timestep=10, entity_count=2)
-    assert [t.lp_id for t in triggers] == [0, 1, 2, 3]
-    assert all(t.at_timestep == 10 and t.entity_count == 2 for t in triggers)
 
 
 # -- experiment plans ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Coarse engine: partitioning, delivery, delegation, and failure paths."""
 
 import csv
+import math
 import os
 import subprocess
 import threading
@@ -24,9 +25,11 @@ from iotsim.level0 import (
     SimulationError,
     partition,
     run_simulation,
+    stripe_of,
 )
 from iotsim.model import Entity
-from iotsim.protocol import EntityRecord, Init, SessionClient, connect_tcp, decode
+from iotsim.protocol import EntityRecord, Init, ProtocolError, SessionClient, connect_tcp, decode
+from iotsim.world import ToroidalWorld
 
 
 def _entity(eid, x, y, kind="static"):
@@ -68,6 +71,18 @@ def test_partition_four_stripes_by_x():
         (50.0, 75.0),
         (75.0, 100.0),
     ]
+
+
+@pytest.mark.parametrize("width, num_lps", [(100.0, 4), (100.0, 3), (73.1, 7), (1e6 / 3, 8), (0.3, 5)])
+def test_stripe_of_is_the_scalar_formula_at_every_seam(width, num_lps):
+    xs = [0.0, math.nextafter(width, 0.0)]
+    for k in range(1, num_lps):
+        # A stripe's x0, and the seam as a multiple of the stripe width.
+        for seam in (k * width / num_lps, k * (width / num_lps)):
+            xs += [math.nextafter(seam, 0.0), seam, math.nextafter(seam, math.inf)]
+    want = [min(int(x / (width / num_lps)), num_lps - 1) for x in xs]
+    got = stripe_of([SimpleNamespace(x=x) for x in xs], ToroidalWorld(width, width), num_lps)
+    assert got.tolist() == want
 
 
 # -- delivery timing -------------------------------------------------------------
@@ -483,6 +498,27 @@ def test_child_that_never_sends_hello_is_given_up(monkeypatch):
     (template,) = seen["templates"]
     assert template.returncode is not None
     (pid,) = seen["pids"]
+    assert _gone(pid)
+
+
+def test_an_init_naming_an_entity_twice_is_refused_on_both_transports():
+    twice = (EntityRecord(1, 0.0, 0.0, "mobile"), EntityRecord(1, 5.0, 5.0, "mobile"))
+    init = Init("t0-lp0-0", 1, 4, 50, twice)
+    with pytest.raises(ProtocolError, match="^bad-field: INIT names entity 1 more than once$"):
+        level0._drive_loopback(init, 0, None)
+    transport, conn = connect_tcp()
+    template = level0.SessionTemplate()
+    try:
+        pid, reports = template.start(init.instance_id, conn)
+        with reports:
+            SessionClient(transport).handshake(init)
+            refusal = decode(transport.recv_line())
+            lines = list(level0._report_lines(reports, "did not exit"))
+    finally:
+        transport.close()
+        template.close()
+    assert (refusal.code, refusal.detail) == ("bad-field", "INIT names entity 1 more than once")
+    assert lines[-1] == "EXIT=1"
     assert _gone(pid)
 
 

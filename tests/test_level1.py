@@ -20,10 +20,8 @@ from iotsim.level1 import (
     GridScenario,
     L1Entity,
     L1Instance,
-    RouteDiscoveryTimeout,
     SchedulingError,
     beacons_before,
-    discover_route,
 )
 from iotsim.protocol import EntityRecord, Final, Init, StepResult, encode
 
@@ -207,35 +205,11 @@ def test_session_counts_each_beacon_in_the_window_it_falls_in():
     side, fine_steps = 5, 37
     scenario = GridScenario.build(side, destination=0)
     inst = L1Instance(scenario, [L1Entity(1, 3.0, 3.0, "static")], fine_steps)
-    inst._bootstrap()
     assert inst.counters.events_processed == _beacons_by_enumeration(side * side, 0, WARMUP_TICKS)
     for t in range(4):
         _, counters = inst.run_one_coarse_step(t)
         end = WARMUP_TICKS + (t + 1) * fine_steps
         assert counters.events_processed == _beacons_by_enumeration(side * side, 0, end)
-
-
-# -- standalone route discovery -------------------------------------------------
-
-
-def test_discover_route_trivial_and_adjacent():
-    scenario = GridScenario.build(5, destination=0)
-    assert discover_route(scenario, 7, 7) == 0
-    assert discover_route(scenario, 0, 1) == 1
-    assert discover_route(scenario, 0, 5) == 1
-
-
-def test_discover_route_matches_breadth_first_search():
-    scenario = GridScenario.build(6, destination=0)
-    pairs = [(0, 35), (3, 31), (12, 17), (5, 30), (20, 2), (14, 14)]
-    for src, dst in pairs:
-        assert discover_route(scenario, src, dst) == _bfs_hops(scenario, src, dst)
-
-
-def test_discover_route_disconnected_mesh_times_out():
-    scenario = GridScenario.build(3, destination=8, radio_range=GRID_SPACING / 2)
-    with pytest.raises(RouteDiscoveryTimeout):
-        discover_route(scenario, 0, 8)
 
 
 # -- full instances -----------------------------------------------------------
@@ -244,9 +218,7 @@ def test_discover_route_disconnected_mesh_times_out():
 def _manual_instance(entity_xy, kind="mobile", side=3, destination=4, fine_steps=100):
     scenario = GridScenario.build(side, destination)
     entity = L1Entity(1, entity_xy[0], entity_xy[1], kind)
-    inst = L1Instance(scenario, [entity], fine_steps)
-    inst._bootstrap()
-    return inst
+    return L1Instance(scenario, [entity], fine_steps)
 
 
 def test_mobile_entity_discovers_route_and_walks():
@@ -281,12 +253,23 @@ def test_route_hops_match_entry_plus_mesh_distance():
     scenario = GridScenario.build(4, destination=15)
     entity = L1Entity(9, 3.0, 0.0, "mobile")  # near node 0, far corner target
     inst = L1Instance(scenario, [entity], fine_steps=200)
-    inst._bootstrap()
     records, _ = inst.run_one_coarse_step(0)
     entries = inst._entry_nodes(3.0, 0.0)
     assert entries  # sanity: the entity can reach the mesh
     want = 1 + min(_bfs_hops(scenario, n, 15) for n in entries)
     assert records[0].hops == want
+
+
+def test_entity_routes_match_breadth_first_search():
+    # An entity on node src enters the mesh at src and its four neighbours,
+    # so its reply carries 1 + (dist(src, dst) - 1) hops; on dst itself, 1.
+    side = 6
+    pairs = [(0, 1), (0, 6), (0, 35), (3, 31), (12, 17), (5, 30), (20, 2), (14, 14)]
+    for src, dst in pairs:
+        scenario = GridScenario.build(side, destination=dst)
+        entity = L1Entity(1, *scenario.node_pos(src), "mobile")
+        records, _ = L1Instance(scenario, [entity], fine_steps=60).run_one_coarse_step(0)
+        assert records[0].hops == max(_bfs_hops(scenario, src, dst), 1), (src, dst)
 
 
 def test_static_entity_never_queries():
@@ -329,7 +312,7 @@ def test_from_init_seeds_destination_and_centers_grid():
     assert inst.scenario.destination == want_dest
     # Mesh centered on the cohort centroid (110, 60).
     assert inst.scenario.node_pos(0) == (110.0 - 90.0, 60.0 - 90.0)
-    assert inst.entity_order == [4, 9]
+    assert list(inst.entities) == [4, 9]
 
 
 def test_from_init_without_entities():

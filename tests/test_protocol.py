@@ -1,5 +1,6 @@
 """Wire grammar, transports, and the lock-step session state machine."""
 
+import json
 import socket
 import threading
 import time
@@ -131,12 +132,25 @@ def test_entity_record_rejects_unknown_kind():
             b'"counters":{"rreq":0,"rrep":-5,"arrivals":0,"events_processed":0}}\n',
             "bad-field",
         ),
+        (
+            b'{"type":"STEP_RESULT","timestep":0,"entities":[],'
+            b'"counters":{"rreq":0,"rrep":0,"arrivals":0}}\n',
+            "bad-field",
+        ),
+        (
+            b'{"type":"INIT","instance_id":"a","seed":1,"grid_side":10,"fine_steps":100,'
+            b'"entities":[{"x":0,"y":0,"kind":"mobile"}]}\n',
+            "bad-field",
+        ),
     ],
 )
 def test_decode_rejects_malformed_lines(line, code):
     with pytest.raises(ProtocolError) as excinfo:
         decode(line)
     assert excinfo.value.code == code
+    if code == "bad-field":
+        # The detail names the message, also for a field of a nested record or counters.
+        assert excinfo.value.detail.endswith(f" in {json.loads(line)['type']}")
 
 
 def test_decode_rejects_an_int_too_large_for_a_float():
