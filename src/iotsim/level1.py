@@ -9,6 +9,11 @@ straight to that node at ``WALK_SPEED`` per coarse timestep until it is
 within ``ARRIVAL_RADIUS``.  Time is an integer count of fine ticks;
 ``fine_steps`` ticks make up one coarse timestep of the driving simulation.
 
+The event heap holds only route queries and the reply's hops.  A flood
+takes one tick per hop, so it is a breadth-first search, computed whole
+when its query runs and counted per tick as its copies would be handled;
+beacons are counted in closed form and walkers step in a plain loop.
+
 ``python -m iotsim.level1`` is the session template the coarse engine starts
 once per TCP run (see ``serve_forks``): it loads only this module, the
 protocol and the scalar hash (no numpy, no coarse engine), then forks one
@@ -28,7 +33,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import rng
 from .protocol import (
@@ -69,7 +74,6 @@ class EventQueueOverflow(RuntimeError):
 
 class EventKind(IntEnum):
     QUERY = 2
-    RREQ = 3
     RREP = 4
 
 
@@ -270,12 +274,10 @@ class L1Instance:
         ]
         self.beacons_sent = 0
         # Hop keys are ints: grid node n as n >= 0, entity e as ~e < 0.
-        # Per grid node: flood origin -> the hop its first copy came from.
-        self.node_routes: list[dict[int, int]] = [{} for _ in range(scenario.num_nodes)]
-        # (origin, seq, node), claimed by the first copy queued.
-        self.rreq_seen: set[tuple[int, int, int]] = set()
-        # Later copies change nothing but the event count: tick -> copies.
-        self.rreq_dropped: dict[int, int] = {}
+        # Per flood origin, per node: the hop its first copy came from, or None.
+        self.routes: dict[int, list[Optional[int]]] = {}
+        # Counts of the flood copies due at ticks not yet run: tick -> [events, rreq, rrep].
+        self.flood_counts: dict[int, list[int]] = {}
         # Entities walking to their destination -> the next tick they step.
         self.walkers: dict[int, int] = {}
         self._run_until(WARMUP_TICKS)
@@ -310,8 +312,9 @@ class L1Instance:
     # -- event loop ---------------------------------------------------------
 
     def _run_until(self, end_tick: int) -> None:
+        counters = self.counters
         sent = beacons_before(self.beacon_phases, end_tick)
-        self.counters.events_processed += sent - self.beacons_sent
+        counters.events_processed += sent - self.beacons_sent
         self.beacons_sent = sent
         while True:
             item = self.queue.pop_before(end_tick)
@@ -321,10 +324,13 @@ class L1Instance:
             if tick < self.last_tick:
                 raise SchedulingError("event causality violated")
             self.last_tick = tick
-            self.counters.events_processed += 1
+            counters.events_processed += 1
             self._dispatch(tick, event)
-        for tick in [t for t in self.rreq_dropped if t < end_tick]:
-            self.counters.events_processed += self.rreq_dropped.pop(tick)
+        for tick in [t for t in self.flood_counts if t < end_tick]:
+            events, rreq, rrep = self.flood_counts.pop(tick)
+            counters.events_processed += events
+            counters.rreq += rreq
+            counters.rrep += rrep
         self._walk_until(end_tick)
 
     def _walk_until(self, end_tick: int) -> None:
@@ -363,8 +369,6 @@ class L1Instance:
         kind = event[0]
         if kind == EventKind.QUERY:
             self._on_query(tick, event[1])
-        elif kind == EventKind.RREQ:
-            self._on_rreq(tick, *event[1:])
         elif kind == EventKind.RREP:
             self._on_rrep(tick, *event[1:])
         else:
@@ -393,53 +397,70 @@ class L1Instance:
         if entity.query_seq >= QUERY_RETRY_LIMIT:
             return  # discovery timeout, left as hops=null; the retry chain ends here
         entity.query_seq += 1
-        origin = ~eid
-        self._send_rreq(tick + 1, self._entry_nodes(entity.x, entity.y), origin, entity.query_seq, 1, origin)
+        self._flood(tick, ~eid, self._entry_nodes(entity.x, entity.y))
         self.queue.schedule(tick + QUERY_RETRY_TICKS, (EventKind.QUERY, eid))
 
-    def _send_rreq(
-        self, tick: int, nodes: Iterable[int], origin: int, seq: int, hops: int, prev: int
-    ) -> None:
-        """One RREQ broadcast: a copy for each of ``nodes``, handled at ``tick``.
+    def _flood(self, tick: int, origin: int, entries: list[int]) -> None:
+        """The route request ``origin`` broadcasts at ``tick`` to ``entries``, in one pass.
 
-        Only a node's first copy of a flood acts; later ones are dropped on
-        arrival.  Every RREQ is sent for ``now + 1`` and the queue is FIFO
-        among equal ticks, so the first copy queued is the first handled: it
-        claims its key here, and the copies that would be dropped are only
-        counted, as the events they would be.
+        Every RREQ hop takes one tick and copies due on the same tick are
+        handled in the order they were sent, so the flood is a breadth-first
+        search from ``entries``: the nodes at depth d handle their first copy
+        at ``tick + d`` and each rebroadcasts once (the destination answers
+        instead), and the later copies a node would drop arrive a tick after
+        their senders'.  None of that changes anything but the counters and
+        the routes, so the search runs now; its counts wait per tick in
+        ``flood_counts`` for ``_run_until``, and only the reply is queued,
+        for the tick after the destination hears the request.
         """
         self.counters.rreq += 1
-        seen = self.rreq_seen
-        dropped = 0
-        for node in nodes:
-            key = (origin, seq, node)
-            if key in seen:
-                dropped += 1
-            else:
-                seen.add(key)
-                self.queue.schedule(tick, (EventKind.RREQ, node, origin, seq, hops, prev))
-        if dropped:
-            self.rreq_dropped[tick] = self.rreq_dropped.get(tick, 0) + dropped
-
-    def _on_rreq(self, tick: int, node: int, origin: int, seq: int, hops: int, prev: int) -> None:
-        # First copy wins: with unit hop latency it rode a shortest path.
-        self.node_routes[node][origin] = prev
-        if node == self.scenario.destination:
-            self.counters.rrep += 1
-            self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, self.scenario.node_pos(node), hops))
-            return
-        self._send_rreq(tick + 1, self.scenario.neighbors[node], origin, seq, hops + 1, node)
+        sc = self.scenario
+        destination = sc.destination
+        neighbors = sc.neighbors
+        counts = self.flood_counts
+        parent: list[Optional[int]] = [None] * len(neighbors)
+        for node in entries:
+            parent[node] = origin
+        frontier = entries
+        reply_tick = None
+        t = tick
+        while frontier:
+            t += 1
+            heard = []
+            sent = 0
+            for node in frontier:
+                if node == destination:
+                    reply_tick = t
+                    continue
+                links = neighbors[node]
+                sent += len(links)
+                for m in links:
+                    if parent[m] is None:
+                        parent[m] = node
+                        heard.append(m)
+            answered = reply_tick == t
+            row = counts.setdefault(t, [0, 0, 0])
+            row[0] += len(frontier)
+            row[1] += len(frontier) - answered
+            row[2] += answered
+            # Every copy sent that claimed no node is dropped on arrival.
+            if sent > len(heard):
+                counts.setdefault(t + 1, [0, 0, 0])[0] += sent - len(heard)
+            frontier = heard
+        # A retry floods from where its entity still stands, so replacing the
+        # map leaves the path of an earlier flood's reply as it was.
+        self.routes[origin] = parent
+        if reply_tick is not None:
+            hops = reply_tick - tick
+            reply = (EventKind.RREP, parent[destination], origin, sc.node_pos(destination), hops)
+            self.queue.schedule(reply_tick + 1, reply)
 
     def _on_rrep(self, tick: int, target: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
         if target == origin:
             self._deliver_rrep(tick, origin, dest_pos, route_hops)
             return
-        if target < 0:
-            return  # reply addressed to an entity that is not the querier
-        prev = self.node_routes[target].get(origin)
-        if prev is None:
-            return  # reverse path unknown; the reply dies here
         self.counters.rrep += 1
+        prev = self.routes[origin][target]
         self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, dest_pos, route_hops))
 
     def _deliver_rrep(self, tick: int, origin: int, dest_pos: tuple, route_hops: int) -> None:

@@ -390,6 +390,15 @@ class SessionClient:
         self._init_ids: Optional[list[int]] = None
         self._done = False
 
+    def _send(self, msg: CoordMessage) -> None:
+        """Send ``msg``; a peer that already answered with ERROR and hung up
+        fails the send, so its buffered ERROR is raised instead."""
+        try:
+            self.transport.send_line(encode(msg))
+        except TransportClosed:
+            _recv_message(self.transport)
+            raise
+
     def handshake(self, init: Init) -> None:
         msg = _recv_message(self.transport)
         if not isinstance(msg, Hello):
@@ -397,12 +406,12 @@ class SessionClient:
         if msg.version != PROTOCOL_VERSION:
             raise _fail(self.transport, "version-mismatch", f"peer speaks version {msg.version}")
         self._init_ids = sorted(r.id for r in init.entities)
-        self.transport.send_line(encode(init))
+        self._send(init)
 
     def step(self, timestep: int) -> StepResult:
         if self._init_ids is None or self._done:
             raise ProtocolError("protocol-violation", "CONTINUE outside an open session")
-        self.transport.send_line(encode(Continue(timestep)))
+        self._send(Continue(timestep))
         msg = _recv_message(self.transport)
         if not isinstance(msg, StepResult):
             detail = f"expected STEP_RESULT, got {type(msg).__name__}"
@@ -417,7 +426,7 @@ class SessionClient:
     def finish(self) -> Final:
         if self._init_ids is None or self._done:
             raise ProtocolError("protocol-violation", "END outside an open session")
-        self.transport.send_line(encode(End()))
+        self._send(End())
         msg = _recv_message(self.transport)
         if not isinstance(msg, Final):
             raise _fail(self.transport, "protocol-violation", f"expected FINAL, got {type(msg).__name__}")

@@ -3,9 +3,10 @@
 import hashlib
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from reference_l1 import ReferenceSession
 
 from iotsim import rng
 from iotsim.level1 import (
@@ -325,7 +326,7 @@ def test_from_init_without_entities():
     assert counters.events_processed > 0
 
 
-def test_the_heap_holds_no_walker_ticks_and_no_duplicate_rreqs(monkeypatch):
+def test_the_heap_holds_no_walker_ticks_and_no_rreqs(monkeypatch):
     queued = []
     schedule = EventQueue.schedule
 
@@ -339,9 +340,8 @@ def test_the_heap_holds_no_walker_ticks_and_no_duplicate_rreqs(monkeypatch):
     inst = L1Instance.from_init(init)
     for t in range(6):
         records, _ = inst.run_one_coarse_step(t)
-    assert {event[0] for event in queued} == {EventKind.QUERY, EventKind.RREQ, EventKind.RREP}
-    rreqs = [(e[2], e[3], e[1]) for e in queued if e[0] == EventKind.RREQ]  # (origin, seq, node)
-    assert len(rreqs) == len(set(rreqs))
+    # Floods are counted, not queued: only queries and reply hops are events.
+    assert {event[0] for event in queued} == {EventKind.QUERY, EventKind.RREP}
     # Every entity found its route and walked.
     assert all(r.hops is not None and (r.x, r.y) != (e.x, e.y) for r, e in zip(records, entities))
 
@@ -365,6 +365,67 @@ def test_identical_init_gives_identical_reports():
     assert fa == fb
     assert encode(Final(*fa)) == encode(Final(*fb))
 
+
+# -- the copy-by-copy reference ---------------------------------------------------
+
+
+def _reference_session_init(draw):
+    """One seeded INIT for a grid of side 2-20: up to 5 entities around a
+    random centre, some of them far enough off to reach no node."""
+    side = draw.randint(2, 20)
+    if draw.random() < 0.8:
+        # Short windows: floods and replies cross window boundaries.
+        fine_steps, coarse_steps = draw.randint(1, 7), draw.randint(1, 40)
+    else:
+        fine_steps, coarse_steps = draw.randint(8, 60), draw.randint(1, 12)
+    seed = draw.getrandbits(63)
+    centre = (draw.uniform(-2000.0, 2000.0), draw.uniform(-2000.0, 2000.0))
+    half = (side - 1) * GRID_SPACING / 2.0 + 40.0
+    entities = []
+    for eid in draw.sample(range(10_000), draw.randint(0, 5)):
+        kind = draw.choice(["mobile", "mobile", "static"])
+        far = 300.0 if draw.random() < 0.15 else 0.0
+        x = centre[0] + draw.uniform(-half, half) + far
+        y = centre[1] + draw.uniform(-half, half) - far
+        entities.append(EntityRecord(eid, x, y, kind))
+    return Init(f"ref-{seed}", seed, side, fine_steps, tuple(entities)), coarse_steps
+
+
+def _check_against_reference(inst, ref, coarse_steps):
+    for t in range(coarse_steps):
+        want = ref.step()
+        assert inst.run_one_coarse_step(t) == want, t
+    assert inst.finalize() == want
+
+
+def test_sessions_match_the_copy_by_copy_reference():
+    seen = Counter()
+    sides, fine_steps = set(), set()
+    for case in range(240):
+        init, coarse_steps = _reference_session_init(random.Random(case))
+        inst = L1Instance.from_init(init)
+        ref = ReferenceSession(inst.scenario, list(init.entities), init.fine_steps)
+        _check_against_reference(inst, ref, coarse_steps)
+        seen.update(ref.seen)
+        sides.add(init.grid_side)
+        fine_steps.add(init.fine_steps)
+    assert sides == set(range(2, 21))
+    assert fine_steps >= set(range(1, 8))
+    # Floods that cross windows, retries, floods that reach no node, replies.
+    assert min(seen["crossing"], seen["retries"], seen["unreachable"], seen["replies"]) >= 20, seen
+
+
+def test_a_reply_on_its_retry_tick_comes_after_the_retry():
+    # From node 0 to node 139 is 25 hops, so the reply lands 50 ticks after
+    # the query, on the tick of the retry queued first: the retry floods again.
+    scenario = GridScenario.build(20, destination=139)
+    x, y = scenario.node_pos(0)
+    inst = L1Instance(scenario, [L1Entity(5, x, y, "mobile")], fine_steps=30)
+    ref = ReferenceSession(scenario, [EntityRecord(5, x, y, "mobile")], fine_steps=30)
+    _check_against_reference(inst, ref, 6)
+    assert ref.seen["reply_on_retry_tick"] == 1
+    assert ref.seen["retries"] == 1
+    assert inst.entities[5].route_hops == 25
 
 
 # -- session bytes --------------------------------------------------------------
@@ -404,7 +465,8 @@ def _pinned_session_init(draw):
 def test_session_bytes_are_pinned():
     # sha256 over every encoded STEP_RESULT and FINAL of 60 seeded sessions,
     # recorded from the engine that queued one MOVE event per walker tick and
-    # every duplicate RREQ copy, and that linked each grid pair by distance.
+    # one RREQ event per flood copy (the copy-by-copy flood of
+    # ``reference_l1``), and that linked each grid pair by distance.
     digest = hashlib.sha256()
     arrived_in_route_window = arrived_later = still_walking = 0
     for case in range(60):

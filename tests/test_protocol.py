@@ -457,6 +457,18 @@ def test_error_reply_propagates_to_caller(pair):
     assert excinfo.value.code == "instance-failed"
 
 
+def test_an_error_sent_before_hanging_up_beats_the_failed_send(pair):
+    # The instance refused the INIT and closed before the engine's CONTINUE.
+    client_t, server_t = pair()
+    server_t.send_line(encode(Hello()))
+    client = SessionClient(client_t)
+    client.handshake(_sample_init())
+    server_t.send_line(encode(Error("bad-field", "INIT names entity 1 more than once")))
+    server_t.close()
+    with pytest.raises(ProtocolError, match="^bad-field: INIT names entity 1 more than once$"):
+        client.step(0)
+
+
 # -- transport equivalence ------------------------------------------------------
 
 
