@@ -87,10 +87,9 @@ def relay_step(
 
     Returns (duplicate, forward); a copy that is not a duplicate is
     delivered, and a forwarded copy travels on with ``ttl_remaining - 1``.
-    The cache is touched exactly once (the forward gate reuses the lookup),
-    so an LRU cache observes each receipt in order.
+    The cache is touched exactly once, so an LRU cache observes each receipt
+    in order; a duplicate is never forwarded, so a hit skips the gate.
     """
-    hit = cache.touch(msg_id)
-    if should_forward(ttl_remaining, hit, sender_distance, random_draw, config):
-        return False, True
-    return hit, False
+    if cache.touch(msg_id):
+        return True, False
+    return False, should_forward(ttl_remaining, False, sender_distance, random_draw, config)

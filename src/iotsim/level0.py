@@ -71,6 +71,11 @@ from .world import ToroidalWorld
 
 # Slack for 6-decimal wire rounding when validating reintegrated positions.
 REGION_TOL = 1e-5
+# Fewest join candidates per deliver chunk: below it, a small world pays each
+# chunk's fixed numpy calls many times over for few receipts.
+JOIN_CHUNK_FLOOR = 4096
+# The directory holding this ``iotsim`` package: the session template's only import path.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class SimulationError(RuntimeError):
@@ -243,7 +248,11 @@ class SimEngine:
 
     def _phase_deliver(self, t: int, part: dict) -> None:
         """Step ``t``'s one deliver: receive last step's transmissions, then
-        generate; relayed copies and fresh messages are staged for step ``t + 1``."""
+        generate; relayed copies and fresh messages are staged for step ``t + 1``.
+
+        The join hands its pairs over in chunks of at most
+        ``max(n_live, JOIN_CHUNK_FLOOR)`` candidates (one sender's may be
+        more); how the pairs are chunked never changes a result."""
         cfg = self.config
         # Canonical order: every receiver's cache sees the same sequence no
         # matter who staged each transmission.
@@ -265,9 +274,8 @@ class SimEngine:
             # One cell-list join; its pairs arrive in receipt order, in chunks
             # of O(n_live) candidates.  Coins do not depend on cache state, so
             # drawing a chunk's coins at once changes nothing.
-            chunks = self.world.join(
-                np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, max(n_live, 1024)
-            )
+            budget = max(n_live, JOIN_CHUNK_FLOOR)
+            chunks = self.world.join(np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, budget)
             for tx, rx, dx, dy in chunks:
                 live_rx = rx < n_live
                 # Frozen receivers get nothing; the drop is still accounted.
@@ -585,21 +593,27 @@ def _drive_loopback(init: Init, t: int, transcript):
 
 
 class SessionTemplate:
-    """The run's ``python -m iotsim.level1``: it forks one child per TCP session.
+    """The run's ``python -S -m iotsim.level1``: it forks one child per TCP session.
 
     The template imports the fine level once, so a session costs a fork, not
-    an interpreter start.  Requests go over a SOCK_SEQPACKET socket pair whose
-    other end is the template's stdin; each carries the server end of the
-    session's TCP connection, which the engine made, and one end of a fresh
-    socket pair, on which the child reports (see ``level1.serve_forks``).
-    The engine itself never forks: it holds threads and numpy.
+    an interpreter start.  It skips ``site`` (the fine level needs only the
+    standard library), and its ``PYTHONPATH`` is the directory holding this
+    ``iotsim`` package, whatever path the engine's process was given.
+    Requests go over a SOCK_SEQPACKET socket pair whose other end is the
+    template's stdin; each carries the server end of the session's TCP
+    connection, which the engine made, and one end of a fresh socket pair,
+    on which the child reports (see ``level1.serve_forks``).  The engine
+    itself never forks: it holds threads and numpy.
     """
 
     def __init__(self) -> None:
         self._control, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
             self.proc = subprocess.Popen(
-                [sys.executable, "-m", "iotsim.level1"], stdin=theirs, stdout=subprocess.DEVNULL
+                [sys.executable, "-S", "-m", "iotsim.level1"],
+                stdin=theirs,
+                stdout=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONPATH": _PACKAGE_ROOT},
             )
 
     def start(self, instance_id: str, conn: socket.socket) -> tuple[int, TextIO]:
@@ -616,18 +630,30 @@ class SessionTemplate:
                 socket.send_fds(self._control, [instance_id.encode()], [theirs.fileno(), conn.fileno()])
             except OSError as exc:
                 ours.close()
-                raise SimulationError(f"the session template is gone: {exc}") from None
+                raise self._gone(f"the session template is gone: {exc}") from None
         ours.settimeout(protocol.DEFAULT_TIMEOUT)
         reports = ours.makefile("r", encoding="utf-8", errors="replace")
         ours.close()  # the reader keeps the socket open
         try:
             first = next(_report_lines(reports, "did not start"), "")
+            if not first:
+                # No child, not even a fork failure's line: the template may have died.
+                raise self._gone("instance did not start: its report channel closed")
             if not first.startswith("PID="):
                 raise SimulationError(f"instance did not start: {first}")
         except BaseException:
             reports.close()
             raise
         return int(first[4:]), reports
+
+    def _gone(self, cause: str) -> SimulationError:
+        """The error for a request the template did not serve: its exit status, if it died."""
+        try:
+            # Its descriptors close just before it can be reaped; allow for that gap.
+            status = self.proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            return SimulationError(cause)
+        return SimulationError(f"the session template exited with status {status}")
 
     def close(self) -> None:
         """EOF on the control socket: the template kills and reaps what is left, then exits."""
@@ -640,7 +666,9 @@ class SessionTemplate:
 
 
 def _report_lines(reports: TextIO, waiting_for: str):
-    """A session child's report lines, to EOF; silence for DEFAULT_TIMEOUT raises."""
+    """A session child's report lines, up to its ``EXIT=`` line (or EOF, if it
+    died first); silence for DEFAULT_TIMEOUT raises.  Not reading to EOF
+    spares the wait for the child's teardown: the template reaps it."""
     while True:
         try:
             line = reports.readline()
@@ -649,6 +677,8 @@ def _report_lines(reports: TextIO, waiting_for: str):
         if not line:
             return
         yield line.rstrip("\n")
+        if line.startswith("EXIT="):
+            return
 
 
 def _kill(pid: Optional[int]) -> None:

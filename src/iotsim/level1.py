@@ -14,7 +14,7 @@ takes one tick per hop, so it is a breadth-first search, computed whole
 when its query runs and counted per tick as its copies would be handled;
 beacons are counted in closed form and walkers step in a plain loop.
 
-``python -m iotsim.level1`` is the session template the coarse engine starts
+``python -S -m iotsim.level1`` is the session template the coarse engine starts
 once per TCP run (see ``serve_forks``): it loads only this module, the
 protocol and the scalar hash (no numpy, no coarse engine), then forks one
 child per session, so a session pays for a fork, not an interpreter start.
@@ -513,10 +513,10 @@ def serve_forks(control: socket.socket) -> None:
     end of the TCP connection the engine made for the session.  The child
     writes ``PID=<pid>`` on the channel, serves the session on the
     connection with the channel as its stdout and stderr (error text,
-    ``VMHWM=``), writes ``EXIT=<status>`` and ends with ``os._exit``.  At EOF
-    on ``control`` (the engine closed it, or died) every child still running
-    is killed, and all are reaped before this returns.  Call it from a
-    process with one thread: it forks.
+    ``VMHWM=``), writes ``EXIT=<status>`` last and ends with ``os._exit``.
+    At EOF on ``control`` (the engine closed it, or died) every child still
+    running is killed, and all are reaped before this returns.  Call it from
+    a process with one thread: it forks.
     """
     children: set[int] = set()
     try:
@@ -586,8 +586,9 @@ def _serve_child(channel: int, conn: int, instance_id: str) -> int:
     peak = measure_peak_memory()
     if peak is not None:
         print(f"VMHWM={peak}")
-    print(f"EXIT={status}", flush=True)
+    # EXIT= is the last line: the engine stops reading at it.
     sys.stderr.flush()
+    print(f"EXIT={status}", flush=True)
     return status
 
 

@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -485,6 +486,52 @@ def test_nothing_outlives_a_tcp_run(monkeypatch, outcome):
     assert len(seen["pids"]) == 2 and all(_gone(pid) for pid in seen["pids"])
 
 
+def test_a_template_that_dies_at_boot_names_its_exit_status(monkeypatch):
+    real_popen = subprocess.Popen
+
+    def popen(cmd, **kwargs):
+        return real_popen([cmd[0], "-S", "-c", "raise SystemExit(3)"], **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    with pytest.raises(SimulationError, match="t0-lp0-0.*the session template exited with status 3$"):
+        run_simulation(_TCP_RUN)
+
+
+_PATHLESS_TCP_RUN = """
+import sys
+sys.path.insert(0, {root!r})
+from iotsim import SimConfig, SpawnTrigger, run_simulation
+cfg = SimConfig(
+    num_ses=6,
+    density=6e-4,
+    total_timesteps=2,
+    generation_prob=0.0,
+    l1_schedule=(SpawnTrigger(0, 0, 2),),
+    l1_fine_steps_per_timestep=50,
+    l1_transport="tcp",
+    seed=3,
+)
+print(len(run_simulation(cfg).session_logs))
+"""
+
+
+def test_tcp_sessions_run_when_iotsim_is_on_no_inherited_path(tmp_path):
+    # The engine's process finds iotsim through sys.path alone: the template
+    # it starts cannot inherit that, so it must be given the package's root.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(level0.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", _PATHLESS_TCP_RUN.format(root=root)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]
+
+
 def test_child_that_never_sends_hello_is_given_up(monkeypatch):
     seen = _watch_template(
         monkeypatch, "import time\nlevel1.serve_session = lambda *args: time.sleep(60)"
@@ -636,6 +683,9 @@ def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
     assert "iotsim.protocol" in imports  # the listing was read
     coarse = {"numpy", "iotsim.level0", "iotsim.bench", "iotsim.config", "iotsim.world", "iotsim.cli"}
     assert not coarse & imports
+    # Nor the environment's start-up: ``site`` and what its .pth files import
+    # would be on the first session's critical path.
+    assert not {"site", "certifi"} & imports
 
 
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---
@@ -751,5 +801,43 @@ def test_counters_add_up_every_step():
         assert tallied - before == report.delivered + report.duplicates, t
     assert tallied == sum(r.delivered + r.duplicates for r in reports)
     # More receipts in a step than one chunk's candidate budget: several chunks ran.
-    assert max(r.delivered + r.duplicates for r in reports) > max(cfg.num_ses, 1024)
+    assert max(r.delivered + r.duplicates for r in reports) > max(cfg.num_ses, level0.JOIN_CHUNK_FLOOR)
     assert sum(r.dropped_delegated for r in reports) > 0
+
+
+def test_how_the_deliver_is_chunked_never_changes_a_result(monkeypatch):
+    cfg = SimConfig(
+        num_ses=300,
+        num_lps=2,
+        total_timesteps=8,
+        generation_prob=0.05,
+        l1_schedule=(SpawnTrigger(2, 0, 3), SpawnTrigger(2, 1, 3), SpawnTrigger(5, 1, 3)),
+        l1_fine_steps_per_timestep=50,
+        l1_transport="loopback",
+        seed=24,
+    )
+    real_join = ToroidalWorld.join
+    chunks = []
+
+    def join(self, *args):
+        for chunk in real_join(self, *args):
+            chunks[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(ToroidalWorld, "join", join)
+    results = []
+    for floor in (1, level0.JOIN_CHUNK_FLOOR):
+        monkeypatch.setattr(level0, "JOIN_CHUNK_FLOOR", floor)
+        chunks.append(0)
+        results.append(run_simulation(cfg, record_receipts=True))
+    small, default = results
+    # The floor decided the chunking.
+    assert chunks[0] > chunks[1]
+    untimed = [
+        [replace(r, deliver_wct=0.0, lp_wct=()) for r in result.reports] for result in (small, default)
+    ]
+    assert untimed[0] == untimed[1]
+    assert sum(r.dropped_delegated for r in default.reports) > 0
+    assert small.fingerprint() == default.fingerprint()
+    assert small.audit.receipts == default.audit.receipts
+    assert small.audit.min_ttl_seen == default.audit.min_ttl_seen
