@@ -23,9 +23,10 @@ runs in fixed phases:
       against the LP's stripe here; the entities stay frozen where they were
       until the next step reintegrates them.  With more than one LP, each LP
       with triggers runs its sessions on a thread of its own, so sessions of
-      different LPs overlap; all are joined before the step ends.  Every
-      wait on a session is bounded by ``protocol.DEFAULT_TIMEOUT``, read when
-      the wait is set up.
+      different LPs overlap; all are joined before the step ends.  A
+      loopback session runs its instance inline and waits for nothing;
+      every wait on a TCP session is bounded by ``protocol.DEFAULT_TIMEOUT``,
+      read when the wait is set up.
 
 Determinism does not depend on the partitioning: in-loop random decisions are
 stateless hashes of (seed, purpose, ids), and every receiver consumes its
@@ -59,13 +60,13 @@ from .protocol import (
     Counters,
     EntityRecord,
     Init,
+    InstanceSession,
     ProtocolError,
     SessionClient,
     Transport,
     TransportClosed,
     connect_tcp,
-    loopback_pair,
-    serve_session,
+    serve_session,  # unused here: until ROADMAP item 1, perfbench's tracer wraps it by this name
 )
 from .world import ToroidalWorld
 
@@ -561,35 +562,17 @@ def _drive_session(transport: Transport, init: Init, t: int):
 
 
 def _drive_loopback(init: Init, t: int, transcript):
+    """The session inline, in this thread: the instance is the client's transport."""
     from .level1 import make_handlers
 
-    client_side, server_side = loopback_pair(transcript_a=transcript)
-    server_exc: list[BaseException] = []
-
-    def serve() -> None:
-        try:
-            serve_session(server_side, make_handlers)
-        except BaseException as exc:  # noqa: BLE001 - reported via the client side
-            server_exc.append(exc)
-        finally:
-            server_side.close()
-
-    thread = threading.Thread(target=serve, name=f"l1-{init.instance_id}", daemon=True)
-    thread.start()
-    failure: Optional[ProtocolError] = None
+    session = InstanceSession(make_handlers, transcript)
     try:
-        final = _drive_session(client_side, init, t)
-    except ProtocolError as exc:
-        failure = exc  # a crash shows here only as a closed connection
-    finally:
-        client_side.close()
-        thread.join(timeout=protocol.DEFAULT_TIMEOUT)
-    if server_exc and not isinstance(server_exc[0], ProtocolError):
-        crash = server_exc[0]
-        raise SimulationError(f"instance crashed: {type(crash).__name__}: {crash}") from crash
-    if failure is not None:
-        raise failure
-    return final, None
+        return _drive_session(session, init, t), None
+    except ProtocolError:
+        crash = session.failure  # on the wire it is only ``instance-failed``
+        if crash is not None and not isinstance(crash, ProtocolError):
+            raise SimulationError(f"instance crashed: {type(crash).__name__}: {crash}") from crash
+        raise
 
 
 class SessionTemplate:

@@ -498,7 +498,7 @@ class L1Instance:
 
 
 def make_handlers(init: Init) -> L1Instance:
-    """The instance ``protocol.serve_session`` drives for one session."""
+    """The instance ``protocol.InstanceSession`` drives for one session."""
     return L1Instance.from_init(init)
 
 

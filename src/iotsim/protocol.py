@@ -13,15 +13,16 @@ One session per instance, strict request/response over a byte stream:
     either     ERROR        {"type":"ERROR","code":...,"detail":...}
 
 Every message is one minified JSON object per line, LF-terminated, fixed key
-order.  There is one transport, a byte-line stream over a connected socket:
-loopback sessions use an in-process socket pair, TCP sessions a loopback
-TCP connection whose server end is handed to a child, so identical sessions
-produce byte-identical transcripts on either.  Entity records carry
-{"id","x","y","kind"} in INIT and additionally {"arrived","hops"} in status
-reports; coordinates are finite and written with at most 6 fractional
-digits, and counters are non-negative.  Either side waits at most
-``DEFAULT_TIMEOUT`` for each line, the value when its transport was made;
-that is the only timeout of a session.
+order.  The instance side of a session is one state machine with no I/O,
+``InstanceSession``.  A TCP session runs it in a child, over a byte-line
+``Transport`` on a loopback TCP connection; a loopback session runs it
+inline, as the engine's transport, with no socket.  Either way every line is
+encoded, decoded and logged, so identical sessions produce byte-identical
+transcripts.  Entity records carry {"id","x","y","kind"} in INIT and
+additionally {"arrived","hops"} in status reports; coordinates are finite
+and written with at most 6 fractional digits, and counters are non-negative.
+Over TCP either side waits at most ``DEFAULT_TIMEOUT`` for each line, the
+value when its transport was made: the only timeout of a session.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _decode_counters(obj: object) -> Counters:
 def decode(line: bytes) -> CoordMessage:
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or deep nesting
         raise ProtocolError("bad-json", str(exc)) from None
     if not isinstance(obj, dict):
         raise ProtocolError("bad-message", "line is not a JSON object")
@@ -335,12 +336,6 @@ class Transport:
             pass
 
 
-def loopback_pair(transcript_a=None, transcript_b=None) -> tuple[Transport, Transport]:
-    """Two connected ends of an in-process socket pair."""
-    sock_a, sock_b = socket.socketpair()
-    return Transport(sock_a, transcript_a), Transport(sock_b, transcript_b)
-
-
 def connect_tcp(transcript=None) -> tuple[Transport, socket.socket]:
     """A fresh TCP connection on 127.0.0.1: the engine's transport, and the
     server's end for the caller to hand to the instance that serves it."""
@@ -385,7 +380,7 @@ def _fail(transport: Transport, code: str, detail: str) -> ProtocolError:
 class SessionClient:
     """Coarse-engine side of one instance session (strict lock-step)."""
 
-    def __init__(self, transport: Transport) -> None:
+    def __init__(self, transport: Union[Transport, InstanceSession]) -> None:
         self.transport = transport
         self._init_ids: Optional[list[int]] = None
         self._done = False
@@ -437,48 +432,97 @@ class SessionClient:
         return msg
 
 
-def serve_session(transport: Transport, make_instance: Callable[[Init], Any]) -> None:
-    """Instance side: one full session, HELLO through FINAL.
+class InstanceSession:
+    """Instance side of one session, HELLO through FINAL, with no I/O.
 
     ``make_instance(init)`` returns the fine-grained instance (in practice
     an ``L1Instance``); each CONTINUE calls its ``run_one_coarse_step(t)``
     and END its ``finalize()``, both returning ``(entity records, Counters)``.
-    Any grammar or ordering violation is answered with ERROR and raised.  So
-    is a failed ``make_instance``: a ``ProtocolError`` with its own code and
-    detail, anything else as ``init-failed``.  An exception from the running
-    instance is answered with ``instance-failed <Type>: <text>`` and raised
-    as itself.  The caller owns the transport and decides process exit.
+    ``receive(line)`` returns the reply line; INIT and a peer's ERROR get
+    None.  A failure sets ``done`` and ``failure`` and is answered with
+    ERROR: a grammar or ordering violation, or a ``ProtocolError`` from
+    ``make_instance``, with its own code; anything else ``make_instance``
+    raises with ``init-failed``; an exception from the running instance with
+    ``instance-failed <Type>: <text>``, kept as itself in ``failure``.
+
+    It is also an in-process transport: ``send_line`` feeds the machine and
+    ``recv_line`` pops its replies, HELLO first; both log to ``transcript``.
     """
 
-    def answer(handler: Callable[[], tuple[tuple[EntityRecord, ...], Counters]]):
+    def __init__(self, make_instance: Callable[[Init], Any], transcript: Optional[list] = None) -> None:
+        self.transcript = transcript
+        self.done = False
+        self.failure: Optional[Exception] = None
+        self._make_instance: Optional[Callable[[Init], Any]] = make_instance  # None once INIT came
+        self._instance: Any = None
+        self._replies = [encode(Hello())]
+
+    def receive(self, line: bytes) -> Optional[bytes]:
         try:
-            return handler()
+            msg = decode(line)
+            if isinstance(msg, Error):
+                self.done, self.failure = True, ProtocolError(msg.code, msg.detail)
+                return None
+            if self._make_instance is not None:
+                if not isinstance(msg, Init):
+                    raise ProtocolError("protocol-violation", f"expected INIT, got {type(msg).__name__}")
+                make, self._make_instance = self._make_instance, None
+                try:
+                    self._instance = make(msg)
+                except ProtocolError:
+                    raise
+                except Exception as exc:
+                    raise ProtocolError("init-failed", str(exc)) from exc
+                return None
+            if not isinstance(msg, (Continue, End)):
+                raise ProtocolError("protocol-violation", f"expected CONTINUE or END, got {type(msg).__name__}")
+        except ProtocolError as exc:
+            return self._fail(exc, exc.code, exc.detail)
+        try:
+            if isinstance(msg, Continue):
+                return encode(StepResult(msg.timestep, *self._instance.run_one_coarse_step(msg.timestep)))
+            self.done = True
+            return encode(Final(*self._instance.finalize()))
         except Exception as exc:
-            _fail(transport, "instance-failed", f"{type(exc).__name__}: {exc}")
-            raise
+            return self._fail(exc, "instance-failed", f"{type(exc).__name__}: {exc}")
 
-    transport.send_line(encode(Hello()))
-    msg = _recv_message(transport)
-    if not isinstance(msg, Init):
-        raise _fail(transport, "protocol-violation", f"expected INIT, got {type(msg).__name__}")
-    try:
-        instance = make_instance(msg)
-    except ProtocolError as exc:
-        raise _fail(transport, exc.code, exc.detail) from exc
-    except Exception as exc:
-        raise _fail(transport, "init-failed", str(exc)) from exc
+    def _fail(self, failure: Exception, code: str, detail: str) -> bytes:
+        self.done, self.failure = True, failure
+        return encode(Error(code, detail))
 
-    while True:
-        msg = _recv_message(transport)
-        if isinstance(msg, Continue):
-            entities, counters = answer(lambda: instance.run_one_coarse_step(msg.timestep))
-            transport.send_line(encode(StepResult(msg.timestep, entities, counters)))
-        elif isinstance(msg, End):
-            entities, counters = answer(instance.finalize)
-            transport.send_line(encode(Final(entities, counters)))
-            return
-        else:
-            raise _fail(transport, "protocol-violation", f"expected CONTINUE or END, got {type(msg).__name__}")
+    def send_line(self, data: bytes) -> None:
+        if self.done:
+            raise TransportClosed("the instance ended its session")
+        if self.transcript is not None:
+            self.transcript.append(("send", data))
+        reply = self.receive(data)
+        if reply is not None:
+            self._replies.append(reply)
+
+    def recv_line(self) -> bytes:
+        if not self._replies:
+            raise TransportClosed("the instance has no reply pending")
+        line = self._replies.pop(0)
+        if self.transcript is not None:
+            self.transcript.append(("recv", line))
+        return line
+
+
+def serve_session(transport: Transport, make_instance: Callable[[Init], Any]) -> None:
+    """Run an ``InstanceSession`` over ``transport`` and raise its ``failure``,
+    once its ERROR was sent, best effort.  The caller owns the transport."""
+    session = InstanceSession(make_instance)
+    transport.send_line(session.recv_line())  # HELLO
+    while not session.done:
+        reply = session.receive(transport.recv_line())
+        if reply is not None:
+            try:
+                transport.send_line(reply)
+            except ProtocolError:
+                if session.failure is None:
+                    raise
+    if session.failure is not None:
+        raise session.failure
 
 
 def measure_peak_memory() -> Optional[int]:

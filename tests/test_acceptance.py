@@ -13,6 +13,7 @@ import time
 from collections import deque
 
 import pytest
+from socket_pair import socket_pair
 
 import iotsim.bench as bench
 from iotsim import rng
@@ -37,7 +38,6 @@ from iotsim.protocol import (
     StepResult,
     decode,
     encode,
-    loopback_pair,
     serve_session,
 )
 
@@ -274,7 +274,7 @@ def test_c07_sessions_are_lock_step_and_transport_invariant(verdicts):
     ]
 
     # Ordering violations must be answered with ERROR, in both directions.
-    client_t, server_t = loopback_pair()
+    client_t, server_t = socket_pair()
     client_t.send_line(encode(StepResult(0, (), Counters())))
     server_err = None
     try:
@@ -284,7 +284,7 @@ def test_c07_sessions_are_lock_step_and_transport_invariant(verdicts):
     assert decode(client_t.recv_line()) == Hello()
     answered = decode(client_t.recv_line())
 
-    client_t2, server_t2 = loopback_pair()
+    client_t2, server_t2 = socket_pair()
     server_t2.send_line(encode(Hello()))
     server_t2.send_line(encode(StepResult(9, (), Counters())))
     client = SessionClient(client_t2)

@@ -633,6 +633,29 @@ def test_loopback_instance_crash_names_its_cause(monkeypatch):
         run_simulation(replace(_TCP_RUN, l1_transport="loopback"))
 
 
+def test_a_slow_loopback_session_completes_and_starts_no_thread(monkeypatch):
+    # Slower than the timeout: an inline session has no peer to time out on.
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.05)
+    step = level1.L1Instance.run_one_coarse_step
+
+    def slow_step(self, t):
+        time.sleep(0.3)
+        return step(self, t)
+
+    started = []
+    start = threading.Thread.start
+
+    def record_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(level1.L1Instance, "run_one_coarse_step", slow_step)
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    result = run_simulation(replace(_TCP_RUN, l1_transport="loopback"))
+    assert len(result.session_logs) == 1
+    assert started == []
+
+
 _CRASH_IN_FINALIZE = """
 def finalize(self):
     raise KeyError("lost entity 42")

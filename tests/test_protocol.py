@@ -7,6 +7,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from socket_pair import socket_pair
 
 from iotsim import level1, protocol
 from iotsim.protocol import (
@@ -18,6 +19,7 @@ from iotsim.protocol import (
     Final,
     Hello,
     Init,
+    InstanceSession,
     ProtocolError,
     SessionClient,
     StepResult,
@@ -27,7 +29,6 @@ from iotsim.protocol import (
     connect_tcp,
     decode,
     encode,
-    loopback_pair,
     serve_session,
 )
 
@@ -163,6 +164,18 @@ def test_decode_rejects_an_int_too_large_for_a_float():
     assert excinfo.value.code == "bad-field"
 
 
+def test_decode_maps_nesting_too_deep_for_the_parser_to_bad_json():
+    with pytest.raises(ProtocolError) as excinfo:
+        decode(b"[" * 100_000)
+    assert excinfo.value.code == "bad-json"
+
+
+def test_decode_maps_an_int_past_the_digit_limit_to_bad_json():
+    with pytest.raises(ProtocolError) as excinfo:
+        decode(b'{"type":"CONTINUE","timestep":' + b"7" * 5_000 + b"}\n")
+    assert excinfo.value.code == "bad-json"
+
+
 # -- transports ---------------------------------------------------------------
 
 
@@ -174,11 +187,11 @@ def short_timeout(monkeypatch):
 
 @pytest.fixture
 def pair():
-    """Makes loopback pairs and closes both ends of each after the test."""
+    """Makes socket pairs and closes both ends of each after the test."""
     made = []
 
     def make(**transcripts):
-        ends = loopback_pair(**transcripts)
+        ends = socket_pair(**transcripts)
         made.extend(ends)
         return ends
 
@@ -287,10 +300,9 @@ def _sample_init(n=2):
     )
 
 
-def test_full_session_lock_step(pair):
-    client_t, server_t = pair()
-    thread, errors = _serve_in_thread(server_t, _echo_handlers)
-    client = SessionClient(client_t)
+def test_full_session_lock_step():
+    session = InstanceSession(_echo_handlers)
+    client = SessionClient(session)
     client.handshake(_sample_init())
     for t in range(3):
         result = client.step(t)
@@ -298,8 +310,7 @@ def test_full_session_lock_step(pair):
         assert [r.id for r in result.entities] == [1, 2]
     final = client.finish()
     assert [r.id for r in final.entities] == [1, 2]
-    thread.join(timeout=5)
-    assert errors == []
+    assert session.done and session.failure is None
 
 
 def test_serve_session_waits_for_init_only_as_long_as_the_patched_timeout(pair, monkeypatch):
@@ -361,7 +372,7 @@ def test_client_rejects_step_result_for_wrong_timestep(pair):
     assert excinfo.value.code == "protocol-violation"
 
 
-def test_client_rejects_final_with_changed_ids(pair):
+def test_client_rejects_final_with_changed_ids():
     def bad_final(init: Init) -> SimpleNamespace:
         good = tuple(EntityRecord(r.id, r.x, r.y, r.kind) for r in init.entities)
         swapped = (EntityRecord(999, 0.0, 0.0, "static"),)
@@ -370,9 +381,8 @@ def test_client_rejects_final_with_changed_ids(pair):
             finalize=lambda: (swapped, Counters()),
         )
 
-    client_t, server_t = pair()
-    thread, errors = _serve_in_thread(server_t, bad_final)
-    client = SessionClient(client_t)
+    session = InstanceSession(bad_final)
+    client = SessionClient(session)
     client.handshake(_sample_init())
     client.step(0)
     with pytest.raises(ProtocolError) as excinfo:
@@ -380,11 +390,10 @@ def test_client_rejects_final_with_changed_ids(pair):
     assert excinfo.value.code == "entity-mismatch"
     # The instance side is already done by then; the trailing ERROR the
     # client emits is best effort and nobody is left to read it.
-    thread.join(timeout=5)
-    assert errors == []
+    assert session.done and session.failure is None
 
 
-def test_client_rejects_final_that_repeats_an_id(pair):
+def test_client_rejects_final_that_repeats_an_id():
     def repeated_final(init: Init) -> SimpleNamespace:
         good = init.entities
         return SimpleNamespace(
@@ -392,19 +401,17 @@ def test_client_rejects_final_that_repeats_an_id(pair):
             finalize=lambda: (good + good[:1], Counters()),
         )
 
-    client_t, server_t = pair()
-    thread, errors = _serve_in_thread(server_t, repeated_final)
-    client = SessionClient(client_t)
+    session = InstanceSession(repeated_final)
+    client = SessionClient(session)
     client.handshake(_sample_init())
     client.step(0)
     with pytest.raises(ProtocolError) as excinfo:
         client.finish()
     assert excinfo.value.code == "entity-mismatch"
-    thread.join(timeout=5)
-    assert errors == []
+    assert session.done and session.failure is None
 
 
-def test_client_rejects_step_result_with_changed_ids(pair):
+def test_client_rejects_step_result_with_changed_ids():
     def bad_step(init: Init) -> SimpleNamespace:
         good = init.entities
         return SimpleNamespace(
@@ -412,17 +419,15 @@ def test_client_rejects_step_result_with_changed_ids(pair):
             finalize=lambda: (good, Counters()),
         )
 
-    client_t, server_t = pair()
-    thread, errors = _serve_in_thread(server_t, bad_step)
-    client = SessionClient(client_t)
+    session = InstanceSession(bad_step)
+    client = SessionClient(session)
     client.handshake(_sample_init())
     with pytest.raises(ProtocolError) as excinfo:
         client.step(0)
     assert excinfo.value.code == "entity-mismatch"
     # The instance reads the client's ERROR in place of its next command.
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert [e.code for e in errors] == ["entity-mismatch"]
+    assert session.done
+    assert session.failure.code == "entity-mismatch"
 
 
 @pytest.mark.parametrize("crash_in", ["run_one_coarse_step", "finalize"], ids=["run_step", "finalize"])
@@ -469,32 +474,96 @@ def test_an_error_sent_before_hanging_up_beats_the_failed_send(pair):
         client.step(0)
 
 
+def test_server_answers_an_undecodable_line_with_bad_json(pair):
+    client_t, server_t = pair()
+    client_t.send_line(b"not json\n")
+    with pytest.raises(ProtocolError) as excinfo:
+        serve_session(server_t, _echo_handlers)
+    assert excinfo.value.code == "bad-json"
+    assert decode(client_t.recv_line()) == Hello()
+    err = decode(client_t.recv_line())
+    assert isinstance(err, Error) and err.code == "bad-json"
+
+
+@pytest.mark.parametrize("line", [b"not json\n", encode(_sample_init())[:-2] + b"\n"], ids=["text", "cut"])
+def test_inline_session_answers_an_undecodable_line_with_bad_json(line):
+    session = InstanceSession(_echo_handlers)
+    assert session.recv_line() == encode(Hello())
+    session.send_line(line)
+    err = decode(session.recv_line())
+    assert isinstance(err, Error) and err.code == "bad-json"
+    assert session.done and session.failure.code == "bad-json"
+
+
+def test_inline_session_refuses_a_send_once_it_ended_and_keeps_its_error_for_the_client():
+    def refuse(init):
+        raise ProtocolError("bad-field", "INIT names entity 1 more than once")
+
+    session = InstanceSession(refuse)
+    client = SessionClient(session)
+    client.handshake(_sample_init())  # INIT gets no reply: the ERROR waits in the queue
+    with pytest.raises(TransportClosed):
+        session.send_line(encode(Continue(0)))
+    with pytest.raises(ProtocolError, match="^bad-field: INIT names entity 1 more than once$"):
+        client.step(0)
+    with pytest.raises(TransportClosed):
+        session.recv_line()  # nothing more to read
+
+
+@pytest.mark.parametrize(
+    "make_instance,code,failure",
+    [
+        (lambda init: 1 / 0, "init-failed", ProtocolError),
+        (lambda init: SimpleNamespace(run_one_coarse_step=lambda t: 1 / 0), "instance-failed", ZeroDivisionError),
+    ],
+    ids=["init", "step"],
+)
+def test_inline_session_keeps_what_failed(make_instance, code, failure):
+    session = InstanceSession(make_instance)
+    client = SessionClient(session)
+    client.handshake(_sample_init())
+    with pytest.raises(ProtocolError) as excinfo:
+        client.step(0)
+    assert excinfo.value.code == code
+    assert type(session.failure) is failure
+
+
+def test_inline_session_rejects_a_second_init():
+    session = InstanceSession(_echo_handlers)
+    session.recv_line()
+    session.send_line(encode(_sample_init()))
+    session.send_line(encode(_sample_init()))
+    err = decode(session.recv_line())
+    assert (err.code, err.detail) == ("protocol-violation", "expected CONTINUE or END, got Init")
+
+
 # -- transport equivalence ------------------------------------------------------
 
 
-def _run_session_collect(client_t, server_t, init, steps=2):
-    thread, errors = _serve_in_thread(server_t, level1.make_handlers)
+def _run_session_collect(client_t, init, steps=2):
     client = SessionClient(client_t)
     client.handshake(init)
     for t in range(steps):
         client.step(t)
     client.finish()
-    thread.join(timeout=10)
-    assert errors == []
 
 
-def test_tcp_and_loopback_transcripts_are_byte_identical(pair):
+def test_tcp_and_loopback_transcripts_are_byte_identical():
     init = _sample_init()
 
     loop_log: list = []
-    client_t, server_t = pair(transcript_a=loop_log)
-    _run_session_collect(client_t, server_t, init)
+    session = InstanceSession(level1.make_handlers, loop_log)
+    _run_session_collect(session, init)
+    assert session.failure is None
 
     tcp_log: list = []
     client_t, conn = connect_tcp(transcript=tcp_log)
     server_t = Transport(conn)
     try:
-        _run_session_collect(client_t, server_t, init)
+        thread, errors = _serve_in_thread(server_t, level1.make_handlers)
+        _run_session_collect(client_t, init)
+        thread.join(timeout=10)
+        assert errors == []
     finally:
         client_t.close()
         server_t.close()
