@@ -9,10 +9,15 @@ id and its remaining hop budget; nothing else about it decides anything.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from . import rng
 from .config import SimConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MsgId = tuple[int, int]  # (origin entity id, per-origin sequence number)
 
@@ -75,21 +80,57 @@ def should_forward(
     )
 
 
-def relay_step(
-    cache: MessageCache,
-    msg_id: MsgId,
-    ttl_remaining: int,
-    sender_distance: float,
-    random_draw: float,
+# Relative half-width of the band around the squared threshold inside which
+# comparing d² with t² might disagree with comparing hypot with t; an
+# absolute floor covers squares that underflow.  Both errors are a few ulps.
+_BAND_REL = 1e-9
+_BAND_ABS = 1e-290
+
+
+def forward_gates(
+    ttls: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    receivers: np.ndarray,
+    origins: np.ndarray,
+    seqs: np.ndarray,
     config: SimConfig,
-) -> tuple[bool, bool]:
-    """Full receiver-side handling of one incoming copy.
+) -> np.ndarray:
+    """``should_forward`` for a fresh copy, over a chunk of receipts.
+
+    Receipt ``k`` carries ``ttls[k]`` hops, was sent from offset
+    ``(dx[k], dy[k])`` and went to entity ``receivers[k]``; its message id is
+    ``(origins[k], seqs[k])``.  The coin is the stateless draw of (seed,
+    FORWARD, receiver, origin, seq), drawn only for the receipts that pass
+    the ttl and distance tests, so each keeps its value however a chunk is
+    cut.  Distance compares squares, except in a narrow band around the
+    threshold, where the receipt goes through ``should_forward`` with
+    ``math.hypot``: the engine and the scalar gate agree on every pair.
+    """
+    import numpy as np
+
+    t2 = config.forwarding_threshold * config.forwarding_threshold
+    d2 = dx * dx + dy * dy
+    near = np.abs(d2 - t2) <= t2 * _BAND_REL + _BAND_ABS
+    drawn = np.flatnonzero((ttls > 1) & ((d2 > t2) | near))
+    coins = rng.unit_uniforms((config.seed, rng.FORWARD), receivers[drawn], origins[drawn], seqs[drawn])
+    gates = np.zeros(len(ttls), dtype=bool)
+    gates[drawn] = coins < config.dissemination_prob
+    for k in np.flatnonzero(near[drawn]).tolist():
+        i = drawn[k]
+        gates[i] = should_forward(int(ttls[i]), False, math.hypot(dx[i], dy[i]), float(coins[k]), config)
+    return gates
+
+
+def relay_step(cache: MessageCache, msg_id: MsgId, may_forward: bool) -> tuple[bool, bool]:
+    """Full receiver-side handling of one incoming copy, whose gate
+    (``forward_gates``) is ``may_forward``.
 
     Returns (duplicate, forward); a copy that is not a duplicate is
-    delivered, and a forwarded copy travels on with ``ttl_remaining - 1``.
-    The cache is touched exactly once, so an LRU cache observes each receipt
-    in order; a duplicate is never forwarded, so a hit skips the gate.
+    delivered, and a forwarded copy travels on with one hop less.  The
+    cache is touched exactly once, so an LRU cache observes each receipt in
+    order; a duplicate is never forwarded.
     """
     if cache.touch(msg_id):
         return True, False
-    return False, should_forward(ttl_remaining, False, sender_distance, random_draw, config)
+    return False, may_forward

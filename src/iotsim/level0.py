@@ -11,7 +11,8 @@ runs in fixed phases:
       entity in its disc, in one canonical order.  One cell-list join of
       the step's transmissions with every entity gives the pairs in that
       order; they are received in chunks of O(live entities), each with
-      its forward coins drawn at once.  Then live entities generate.
+      its forward gates (distance, hop budget, coin) computed at once, so
+      a receipt costs one Python call.  Then live entities generate.
       Relayed copies and fresh messages are staged for the next step,
   (2) for each LP in id order: step mobility, apply pending reintegrations,
       then stage for migration the entities whose position crossed a stripe
@@ -21,12 +22,14 @@ runs in fixed phases:
       fine-grained session to completion.  A session's FINAL is checked
       where the session ends: its ids by the session client, its positions
       against the LP's stripe here; the entities stay frozen where they were
-      until the next step reintegrates them.  With more than one LP, each LP
-      with triggers runs its sessions on a thread of its own, so sessions of
-      different LPs overlap; all are joined before the step ends.  A
-      loopback session runs its instance inline and waits for nothing;
-      every wait on a TCP session is bounded by ``protocol.DEFAULT_TIMEOUT``,
-      read when the wait is set up.
+      until the next step reintegrates them.  Sessions run on the stepping
+      thread, in LP order, except when two or more LPs have TCP sessions
+      at the step: then each such LP runs its sessions on a thread of its
+      own, so their children compute in parallel; all are joined before
+      the step ends.  A loopback session holds the GIL throughout, so a
+      thread would overlap nothing; it runs its instance inline and waits
+      for nothing.  Every wait on a TCP session is bounded by
+      ``protocol.DEFAULT_TIMEOUT``, read when the wait is set up.
 
 Determinism does not depend on the partitioning: in-loop random decisions are
 stateless hashes of (seed, purpose, ids), and every receiver consumes its
@@ -35,7 +38,6 @@ receipts in the order of (message id, sender).
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import socket
@@ -45,7 +47,6 @@ import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import Optional, TextIO
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import protocol, rng
 from .config import SimConfig, SpawnTrigger
-from .dissemination import MsgId, generate_message, relay_step
+from .dissemination import MsgId, forward_gates, generate_message, relay_step
 from .mobility import rwp_step
 from .model import Entity, make_entities
 from .protocol import (
@@ -271,10 +272,13 @@ class SimEngine:
             msg_ids, senders, ttls, sxs, sys_ = zip(*txs)
             origins, seqs = np.array(msg_ids, dtype=np.int64).T
             senders = np.array(senders, dtype=np.int64)
-            caches = [e.cache for e in live]
+            ttls = np.array(ttls, dtype=np.int64)
+            # Object arrays: a chunk picks its receipts' ids and caches by fancy indexing.
+            msg_ids = np.fromiter(msg_ids, dtype=object, count=len(txs))
+            caches = np.fromiter((e.cache for e in live), dtype=object, count=n_live)
             # One cell-list join; its pairs arrive in receipt order, in chunks
-            # of O(n_live) candidates.  Coins do not depend on cache state, so
-            # drawing a chunk's coins at once changes nothing.
+            # of O(n_live) candidates.  The gates do not depend on cache
+            # state, so computing a chunk's gates at once changes nothing.
             budget = max(n_live, JOIN_CHUNK_FLOOR)
             chunks = self.world.join(np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, budget)
             for tx, rx, dx, dy in chunks:
@@ -285,33 +289,28 @@ class SimEngine:
                 if not len(keep):
                     continue
                 tx, rx = tx[keep], rx[keep]
-                rids = ids[rx]
-                coins = rng.unit_uniforms((cfg.seed, rng.FORWARD), rids, origins[tx], seqs[tx])
-                txl, rxl = tx.tolist(), rx.tolist()
-                rx_msgs = list(map(msg_ids.__getitem__, txl))
-                rx_ttls = list(map(ttls.__getitem__, txl))
-                dists = map(math.hypot, dx[keep].tolist(), dy[keep].tolist())
-                outcomes = list(
-                    map(
-                        relay_step,
-                        map(caches.__getitem__, rxl),
-                        rx_msgs,
-                        rx_ttls,
-                        dists,
-                        coins.tolist(),
-                        repeat(cfg),
-                    )
-                )
+                rids, rx_ttls = ids[rx], ttls[tx]
+                gates = forward_gates(rx_ttls, dx[keep], dy[keep], rids, origins[tx], seqs[tx], cfg)
+                rx_msgs = msg_ids[tx].tolist()
+                # The one Python call per receipt.
+                outcomes = list(map(relay_step, caches[rx].tolist(), rx_msgs, gates.tolist()))
                 # relay_step answers (True, False) for a duplicate and (False, True) for a forward.
                 duplicates = outcomes.count((True, False))
                 part["duplicates"] += duplicates
                 part["delivered"] += len(outcomes) - duplicates
-                forwards = list(compress(range(len(outcomes)), map(itemgetter(1), outcomes)))
-                part["forwarded"] += len(forwards)
-                for k in forwards:
-                    entity = live[rxl[k]]
-                    outgoing.append((rx_msgs[k], entity.id, rx_ttls[k] - 1, entity.x, entity.y))
-                self.audit.record_many(rx_msgs, rids, min(rx_ttls))
+                forwards = np.fromiter(map(itemgetter(1), outcomes), dtype=bool, count=len(outcomes))
+                fwd_tx, fwd_rx = tx[forwards], rx[forwards]
+                part["forwarded"] += len(fwd_tx)
+                outgoing.extend(
+                    zip(
+                        msg_ids[fwd_tx].tolist(),
+                        ids[fwd_rx].tolist(),
+                        (ttls[fwd_tx] - 1).tolist(),
+                        xs[fwd_rx].tolist(),
+                        ys[fwd_rx].tolist(),
+                    )
+                )
+                self.audit.record_many(rx_msgs, rids, int(rx_ttls.min()))
 
         # Fresh traffic, in id order so staging order is reproducible.
         if cfg.generation_prob > 0:
@@ -452,7 +451,12 @@ class SimEngine:
         self._phase_migrate_out(lp)
 
     def _step_sessions(self, t: int, lp_wct: list[float]) -> None:
-        """Run step ``t``'s sessions: here for one LP, else on one thread per busy LP."""
+        """Run step ``t``'s sessions: on this thread, in LP order, unless they
+        are TCP sessions of two or more LPs; those get one thread per busy LP.
+
+        Only a TCP session waits on work done elsewhere (its child), so only
+        there do threads overlap anything; a loopback session holds the GIL
+        throughout, and a thread would only add its start and join."""
         busy = [lp for lp in self.lps if (t, lp.lp_id) in self.triggers]
         outcomes: dict[int, object] = {}
 
@@ -464,7 +468,7 @@ class SimEngine:
                 outcomes[lp.lp_id] = exc
             lp_wct[lp.lp_id] += time.perf_counter() - start
 
-        if self.config.num_lps == 1:
+        if self.config.l1_transport != "tcp" or len(busy) < 2:
             for lp in busy:
                 sessions(lp)
         else:

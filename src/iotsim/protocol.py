@@ -242,9 +242,22 @@ def _decode_counters(obj: object) -> Counters:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def decode(line: bytes) -> CoordMessage:
     try:
-        obj = json.loads(line.decode("utf-8"))
+        obj = _DECODER.decode(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or deep nesting
         raise ProtocolError("bad-json", str(exc)) from None
     if not isinstance(obj, dict):

@@ -1,9 +1,13 @@
 """Message cache eviction and the gossip forwarding gate."""
 
+import math
+
+import numpy as np
 import pytest
 
+from iotsim import rng
 from iotsim.config import SimConfig
-from iotsim.dissemination import MessageCache, generate_message, relay_step, should_forward
+from iotsim.dissemination import MessageCache, forward_gates, generate_message, relay_step, should_forward
 
 
 def test_lru_eviction_order():
@@ -82,29 +86,75 @@ def test_certain_gossip_always_forwards_while_travel_remains():
 
 
 def test_relay_step_fresh_copy_is_delivered_and_forwarded():
-    cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     cache = MessageCache(256)
-    duplicate, forward = relay_step(
-        cache, msg_id=(1, 0), ttl_remaining=4, sender_distance=10.0, random_draw=0.2, config=cfg
-    )
-    assert not duplicate
-    assert forward
+    assert relay_step(cache, msg_id=(1, 0), may_forward=True) == (False, True)
+    assert (1, 0) in cache
 
 
 def test_relay_step_duplicate_neither_delivers_nor_forwards():
-    cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     cache = MessageCache(256)
-    relay_step(cache, (1, 0), 4, 10.0, 0.2, cfg)
-    duplicate, forward = relay_step(cache, (1, 0), 4, 10.0, 0.2, cfg)
-    assert duplicate
-    assert not forward
+    relay_step(cache, (1, 0), True)
+    # An open gate does not forward a copy the receiver has already seen.
+    assert relay_step(cache, (1, 0), True) == (True, False)
 
 
 def test_relay_step_delivery_without_forward():
-    cfg = SimConfig(dissemination_prob=0.6, forwarding_threshold=200.0)
     cache = MessageCache(256)
-    # Near sender: delivered but suppressed.
-    assert relay_step(cache, (1, 0), 4, sender_distance=50.0, random_draw=0.1, config=cfg) == (False, False)
+    # Gate closed (near sender, spent hops or a lost coin): delivered, not forwarded.
+    assert relay_step(cache, (1, 0), False) == (False, False)
     # The receipt still populated the cache.
-    duplicate, _ = relay_step(cache, (1, 0), 4, sender_distance=300.0, random_draw=0.1, config=cfg)
-    assert duplicate
+    assert relay_step(cache, (1, 0), True) == (True, False)
+
+
+def _gate_sample(threshold, seed=5, n=20_000):
+    """Receipts whose distance is within a few ulps of ``threshold``, plus
+    exact zeros and offsets so small that their squares underflow."""
+    gen = np.random.default_rng(seed)
+    angle = gen.uniform(0.0, 2 * np.pi, n)
+    r = threshold * (1.0 + gen.integers(-8, 9, n) * np.finfo(float).eps)
+    dx, dy = r * np.cos(angle), r * np.sin(angle)
+    dx[:4], dy[:4] = [0.0, 1e-200, 0.0, -1e-170], [0.0, 0.0, 1e-300, 1e-170]
+    ttls = gen.integers(1, 4, n)  # 1, 2 and 3 hops left
+    receivers = gen.integers(0, 50, n)
+    origins = gen.integers(0, 50, n)
+    seqs = gen.integers(0, 5, n)
+    return ttls, dx, dy, receivers, origins, seqs
+
+
+def _scalar_gates(ttls, dx, dy, receivers, origins, seqs, cfg):
+    return [
+        should_forward(
+            int(ttl), False, math.hypot(x, y), rng.unit_uniform(cfg.seed, rng.FORWARD, r, o, q), cfg
+        )
+        for ttl, x, y, r, o, q in zip(ttls, dx, dy, receivers.tolist(), origins.tolist(), seqs.tolist())
+    ]
+
+
+@pytest.mark.parametrize("threshold", [200.0, 0.0, 37.3, 1e-160])
+def test_forward_gates_match_the_scalar_gate_at_the_threshold(threshold):
+    cfg = SimConfig(forwarding_threshold=threshold, dissemination_prob=0.6, seed=11)
+    sample = _gate_sample(threshold)
+    ttls, dx, dy = sample[:3]
+    gates = forward_gates(*sample, cfg)
+    assert gates.dtype == bool
+    assert gates.tolist() == _scalar_gates(*sample, cfg)
+    # Every outcome occurs, and a ttl of 1 never forwards.
+    assert gates.any() and not gates.all()
+    assert not gates[ttls == 1].any()
+    if threshold > 0:
+        # Squares and hypot disagree on some pairs here: a gate that only
+        # compared squares would fail the check above.
+        squares = dx * dx + dy * dy > threshold * threshold
+        hypots = np.array([math.hypot(x, y) > threshold for x, y in zip(dx, dy)])
+        assert (squares != hypots).any()
+
+
+def test_forward_gates_coin_exactly_at_the_probability_does_not_forward():
+    ttls, dx, dy = np.array([2, 2]), np.array([5.0, 5.0]), np.zeros(2)
+    sample = (ttls, dx, dy, np.array([3, 4]), np.array([1, 1]), np.zeros(2, int))
+    # Receipt 0's coin is the probability itself, and a coin must be strictly below it.
+    cfg = SimConfig(forwarding_threshold=0.0, seed=2)
+    at_coin = cfg.with_updates(dissemination_prob=rng.unit_uniform(cfg.seed, rng.FORWARD, 3, 1, 0))
+    gates = forward_gates(*sample, at_coin)
+    assert not gates[0]
+    assert gates.tolist() == _scalar_gates(*sample, at_coin)

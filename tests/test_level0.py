@@ -142,7 +142,7 @@ def test_stepwise_driver_matches_run_for_any_stripe_count(num_lps, tmp_path):
         num_lps=num_lps,
         total_timesteps=6,
         generation_prob=0.05,
-        # Every LP has a session at t=1, so that many session threads overlap.
+        # Every LP has a session at t=1, run one after another in LP order.
         l1_schedule=(*(SpawnTrigger(1, lp, 2) for lp in range(num_lps)), SpawnTrigger(3, 1, 3)),
         l1_fine_steps_per_timestep=50,
         l1_transport="loopback",
@@ -260,8 +260,7 @@ def test_conservation_reported_every_step():
 
 
 def test_session_logs_come_in_trigger_order():
-    # Two sessions run at once at t=2, one per LP; whichever finishes first,
-    # the logs keep the order (t, lp, index).
+    # Two sessions at t=2, one per LP; the logs keep the order (t, lp, index).
     config = PINS[-1][0].with_updates(l1_transport="loopback")
     for _ in range(5):
         result = run_simulation(config)
@@ -633,6 +632,19 @@ def test_loopback_instance_crash_names_its_cause(monkeypatch):
         run_simulation(replace(_TCP_RUN, l1_transport="loopback"))
 
 
+def _record_thread_starts(monkeypatch) -> list[str]:
+    """The name of every thread started from now on, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def record_start(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    return started
+
+
 def test_a_slow_loopback_session_completes_and_starts_no_thread(monkeypatch):
     # Slower than the timeout: an inline session has no peer to time out on.
     monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.05)
@@ -642,18 +654,48 @@ def test_a_slow_loopback_session_completes_and_starts_no_thread(monkeypatch):
         time.sleep(0.3)
         return step(self, t)
 
-    started = []
-    start = threading.Thread.start
-
-    def record_start(self):
-        started.append(self.name)
-        start(self)
-
     monkeypatch.setattr(level1.L1Instance, "run_one_coarse_step", slow_step)
-    monkeypatch.setattr(threading.Thread, "start", record_start)
+    started = _record_thread_starts(monkeypatch)
     result = run_simulation(replace(_TCP_RUN, l1_transport="loopback"))
     assert len(result.session_logs) == 1
     assert started == []
+
+
+# Two LPs; sessions at t=1 on the LPs given.
+def _two_lp_run(transport, *lps):
+    return SimConfig(
+        num_ses=80,
+        num_lps=2,
+        total_timesteps=3,
+        generation_prob=0.02,
+        l1_schedule=tuple(SpawnTrigger(1, lp, 2) for lp in lps),
+        l1_fine_steps_per_timestep=50,
+        l1_transport=transport,
+        seed=3,
+    )
+
+
+def test_loopback_sessions_of_two_lps_start_no_thread(monkeypatch):
+    # A loopback session holds the GIL throughout: a thread would overlap nothing.
+    started = _record_thread_starts(monkeypatch)
+    result = run_simulation(_two_lp_run("loopback", 0, 1))
+    assert [log.instance_id for log in result.session_logs] == ["t1-lp0-0", "t1-lp1-0"]
+    assert started == []
+
+
+def test_tcp_sessions_of_one_busy_lp_start_no_lp_thread(monkeypatch):
+    started = _record_thread_starts(monkeypatch)
+    result = run_simulation(_two_lp_run("tcp", 1))
+    assert [log.instance_id for log in result.session_logs] == ["t1-lp1-0"]
+    assert [name for name in started if name.startswith("lp")] == []
+
+
+def test_tcp_sessions_of_two_busy_lps_start_one_thread_each(monkeypatch):
+    # Their children compute in parallel while the LP threads wait on them.
+    started = _record_thread_starts(monkeypatch)
+    result = run_simulation(_two_lp_run("tcp", 0, 1))
+    assert [log.instance_id for log in result.session_logs] == ["t1-lp0-0", "t1-lp1-0"]
+    assert sorted(started) == ["lp0", "lp1"]
 
 
 _CRASH_IN_FINALIZE = """

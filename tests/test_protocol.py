@@ -176,6 +176,22 @@ def test_decode_maps_an_int_past_the_digit_limit_to_bad_json():
     assert excinfo.value.code == "bad-json"
 
 
+def test_decode_refuses_a_repeated_key():
+    with pytest.raises(ProtocolError, match="repeated key 'timestep'") as excinfo:
+        decode(b'{"type":"CONTINUE","timestep":1,"timestep":2}\n')
+    assert excinfo.value.code == "bad-json"
+
+
+def test_decode_refuses_a_repeated_key_inside_an_entity_record():
+    line = (
+        b'{"type":"INIT","instance_id":"t0-lp0-0","seed":1,"grid_side":4,"fine_steps":10,'
+        b'"entities":[{"id":1,"x":0.5,"x":9.5,"y":2.0,"kind":"static"}]}\n'
+    )
+    with pytest.raises(ProtocolError, match="repeated key 'x'") as excinfo:
+        decode(line)
+    assert excinfo.value.code == "bad-json"
+
+
 # -- transports ---------------------------------------------------------------
 
 
