@@ -58,6 +58,10 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, not {value!r}")
         if self.num_ses < 1:
             raise ConfigError("num_ses must be >= 1")
         if not 0.0 <= self.mobile_fraction <= 1.0:
@@ -70,6 +74,8 @@ class SimConfig:
             raise ConfigError("forwarding_threshold must be >= 0")
         if self.density <= 0:
             raise ConfigError("density must be positive")
+        if not math.isfinite(self.world_side):
+            raise ConfigError(f"world_side must be finite: density {self.density!r} is too small")
         if self.total_timesteps < 1:
             raise ConfigError("total_timesteps must be >= 1")
         if self.ttl < 0:

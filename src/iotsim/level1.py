@@ -1,4 +1,4 @@
-"""Fine-grained discrete-event simulator: a wireless grid plus walking entities.
+"""Fine-grained simulator: a wireless grid plus walking entities.
 
 One instance hosts a square grid of fixed nodes (a local device mesh) and the
 entities delegated to it.  Every route is discovered from an entity: a
@@ -9,10 +9,10 @@ straight to that node at ``WALK_SPEED`` per coarse timestep until it is
 within ``ARRIVAL_RADIUS``.  Time is an integer count of fine ticks;
 ``fine_steps`` ticks make up one coarse timestep of the driving simulation.
 
-The event heap holds only route queries and the reply's hops.  A flood
-takes one tick per hop, so it is a breadth-first search, computed whole
-when its query runs and counted per tick as its copies would be handled;
-beacons are counted in closed form and walkers step in a plain loop.
+There is no event queue.  Each event is counted at the tick it would be
+handled: beacons in closed form, an entity's whole route discovery (its
+queries, their floods and replies) once, when the instance is built, and
+walker ticks in a plain loop.
 
 ``python -S -m iotsim.level1`` is the session template the coarse engine starts
 once per TCP run (see ``serve_forks``): it loads only this module, the
@@ -23,8 +23,6 @@ child per session, so a session pays for a fork, not an interpreter start.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
 import os
 import signal
@@ -32,7 +30,6 @@ import socket
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Optional
 
 from . import rng
@@ -56,59 +53,11 @@ WALK_SPEED = 1.4
 ARRIVAL_RADIUS = 1.0
 QUERY_RETRY_TICKS = 50
 QUERY_RETRY_LIMIT = 8
-QUEUE_LIMIT = 1_000_000
 # Grids anchored within this of the origin, in both coordinates, take their
 # links from the per-shape table (see ``_offset_links``).  A torus of 10**8
 # SEs at the default density is 10**6 wide, so sessions of any run up to that
 # size do.
 ANCHOR_BOUND = 2.0**20
-
-
-class SchedulingError(RuntimeError):
-    pass
-
-
-class EventQueueOverflow(RuntimeError):
-    pass
-
-
-class EventKind(IntEnum):
-    QUERY = 2
-    RREP = 4
-
-
-class EventQueue:
-    """Min-heap of (tick, insertion seq, event); FIFO among equal ticks."""
-
-    __slots__ = ("_heap", "_counter", "now", "limit")
-
-    def __init__(self, limit: int = QUEUE_LIMIT) -> None:
-        self._heap: list[tuple[int, int, tuple]] = []
-        self._counter = itertools.count()
-        self.now = 0
-        self.limit = limit
-
-    def schedule(self, tick: int, event: tuple) -> None:
-        if tick < self.now:
-            raise SchedulingError(f"event at {tick} scheduled in the past (now {self.now})")
-        if len(self._heap) >= self.limit:
-            raise EventQueueOverflow(f"event queue exceeded {self.limit} entries")
-        heapq.heappush(self._heap, (tick, next(self._counter), event))
-
-    def pop(self) -> Optional[tuple[int, tuple]]:
-        if not self._heap:
-            return None
-        tick, _, event = heapq.heappop(self._heap)
-        self.now = tick
-        return tick, event
-
-    def pop_before(self, end_tick: int) -> Optional[tuple[int, tuple]]:
-        if self._heap and self._heap[0][0] < end_tick:
-            return self.pop()
-        return None
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 @dataclass(frozen=True)
@@ -234,7 +183,6 @@ class L1Entity:
     dest_pos: Optional[tuple[float, float]] = None
     route_hops: Optional[int] = None
     arrived: bool = False
-    query_seq: int = 0
 
 
 @dataclass(slots=True)
@@ -251,9 +199,9 @@ class _Counters:
 class L1Instance:
     """One fine-grained session; strictly single-threaded and deterministic.
 
-    Construction runs the warm-up (grid housekeeping only) and queues each
-    mobile entity's first route query, so the first coarse step starts
-    entity behaviour at ``WARMUP_TICKS``.
+    Construction runs the warm-up (grid housekeeping only) and counts each
+    mobile entity's route discovery, which starts at ``WARMUP_TICKS``, so
+    the first coarse step starts entity behaviour there.
     """
 
     def __init__(self, scenario: GridScenario, entities: list[L1Entity], fine_steps: int) -> None:
@@ -261,29 +209,26 @@ class L1Instance:
         self.entities = {e.id: e for e in entities}
         self.fine_steps = fine_steps
         self.step_len = WALK_SPEED / fine_steps
-        self.queue = EventQueue()
         self.counters = _Counters()
         self.session_step = 0
-        self.last_tick = 0
         # Every node beacons from tick n % WARMUP_TICKS on, every
         # BEACON_INTERVAL ticks.  A beacon changes nothing but the event
-        # count, so beacons are counted per window instead of queued.
+        # count, so beacons are counted per window.
         nodes = scenario.num_nodes
         self.beacon_phases = [
             nodes // WARMUP_TICKS + (phase < nodes % WARMUP_TICKS) for phase in range(WARMUP_TICKS)
         ]
         self.beacons_sent = 0
-        # Hop keys are ints: grid node n as n >= 0, entity e as ~e < 0.
-        # Per flood origin, per node: the hop its first copy came from, or None.
-        self.routes: dict[int, list[Optional[int]]] = {}
-        # Counts of the flood copies due at ticks not yet run: tick -> [events, rreq, rrep].
-        self.flood_counts: dict[int, list[int]] = {}
+        # Counts of the discovery events due at ticks not yet run: tick -> [events, rreq, rrep].
+        self.counts: dict[int, list[int]] = {}
+        # Entities whose first reply has not landed yet -> (the tick it lands, its hops).
+        self.replies: dict[int, tuple[int, int]] = {}
         # Entities walking to their destination -> the next tick they step.
         self.walkers: dict[int, int] = {}
         self._run_until(WARMUP_TICKS)
         for entity in self.entities.values():
             if entity.kind == "mobile":
-                self.queue.schedule(WARMUP_TICKS, (EventKind.QUERY, entity.id))
+                self._discover(entity)
 
     @classmethod
     def from_init(cls, init: Init) -> "L1Instance":
@@ -309,36 +254,34 @@ class L1Instance:
         entities = [L1Entity(r.id, r.x, r.y, r.kind) for r in init.entities]
         return cls(scenario, entities, init.fine_steps)
 
-    # -- event loop ---------------------------------------------------------
+    # -- time ---------------------------------------------------------------
 
     def _run_until(self, end_tick: int) -> None:
         counters = self.counters
         sent = beacons_before(self.beacon_phases, end_tick)
         counters.events_processed += sent - self.beacons_sent
         self.beacons_sent = sent
-        while True:
-            item = self.queue.pop_before(end_tick)
-            if item is None:
-                break
-            tick, event = item
-            if tick < self.last_tick:
-                raise SchedulingError("event causality violated")
-            self.last_tick = tick
-            counters.events_processed += 1
-            self._dispatch(tick, event)
-        for tick in [t for t in self.flood_counts if t < end_tick]:
-            events, rreq, rrep = self.flood_counts.pop(tick)
+        for tick in [t for t in self.counts if t < end_tick]:
+            events, rreq, rrep = self.counts.pop(tick)
             counters.events_processed += events
             counters.rreq += rreq
             counters.rrep += rrep
+        for eid, (tick, hops) in list(self.replies.items()):
+            if tick < end_tick:
+                del self.replies[eid]
+                entity = self.entities[eid]
+                entity.dest_pos = self.scenario.node_pos(self.scenario.destination)
+                entity.route_hops = hops
+                self.walkers[eid] = tick + 1
         self._walk_until(end_tick)
 
     def _walk_until(self, end_tick: int) -> None:
         """Step every walker through the ticks before ``end_tick``, one event each.
 
-        A walk reads and writes only its own entity, and no event reads a
-        walker's position (``_on_query`` stops once a destination is known),
-        so walkers step after the window's events, in a plain loop.
+        A walk reads and writes only its own entity, and nothing else reads
+        a walker's position (an entity's queries flood only before its reply
+        lands, see ``_discover``), so walkers step after the window's
+        counts, in a plain loop.
         """
         counters = self.counters
         step_len = self.step_len
@@ -365,15 +308,6 @@ class L1Instance:
             counters.events_processed += tick - start
             entity.x, entity.y = x, y
 
-    def _dispatch(self, tick: int, event: tuple) -> None:
-        kind = event[0]
-        if kind == EventKind.QUERY:
-            self._on_query(tick, event[1])
-        elif kind == EventKind.RREP:
-            self._on_rrep(tick, *event[1:])
-        else:
-            raise SchedulingError(f"unknown event kind {kind}")
-
     def _entry_nodes(self, x: float, y: float) -> list[int]:
         """Nodes whose radio reaches (x, y), in ascending order."""
         sc = self.scenario
@@ -390,87 +324,85 @@ class L1Instance:
             if math.dist((x, y), sc.positions[n]) <= sc.radio_range
         ]
 
-    def _on_query(self, tick: int, eid: int) -> None:
-        entity = self.entities[eid]
-        if entity.dest_pos is not None:
-            return  # stale retry
-        if entity.query_seq >= QUERY_RETRY_LIMIT:
-            return  # discovery timeout, left as hops=null; the retry chain ends here
-        entity.query_seq += 1
-        self._flood(tick, ~eid, self._entry_nodes(entity.x, entity.y))
-        self.queue.schedule(tick + QUERY_RETRY_TICKS, (EventKind.QUERY, eid))
+    # -- route discovery ------------------------------------------------------
 
-    def _flood(self, tick: int, origin: int, entries: list[int]) -> None:
-        """The route request ``origin`` broadcasts at ``tick`` to ``entries``, in one pass.
+    def _discover(self, entity: L1Entity) -> None:
+        """Count ``entity``'s whole route discovery into ``counts``, and note its reply.
+
+        The entity queries at ``WARMUP_TICKS`` and every ``QUERY_RETRY_TICKS``
+        after, one event each.  A query floods unless the reply has landed or
+        ``QUERY_RETRY_LIMIT`` floods have run; the first one that does not
+        ends the chain.  A reply goes back one hop per tick: ``hops - 1``
+        RREP sends, then its delivery, ``2 * hops`` ticks after its query.
+        A query on the tick the reply lands runs first, so it floods again;
+        a later flood's reply is counted alike and changes nothing else.
+        The entity stands still until its reply lands, so every flood is the
+        same search, shifted in time, and the search runs once.
+        """
+        trip, hops = self._flood(self._entry_nodes(entity.x, entity.y))
+        lands = None
+        if hops is not None:
+            lands = WARMUP_TICKS + 2 * hops
+            self.replies[entity.id] = (lands, hops)
+            trip += [[0, 0, 0] for _ in range(2 * hops + 1 - len(trip))]
+            for row in trip[hops + 1 : 2 * hops]:
+                row[0] += 1
+                row[2] += 1
+            trip[2 * hops][0] += 1
+        counts = self.counts
+        for query in range(QUERY_RETRY_LIMIT + 1):
+            tick = WARMUP_TICKS + query * QUERY_RETRY_TICKS
+            counts.setdefault(tick, [0, 0, 0])[0] += 1
+            if query == QUERY_RETRY_LIMIT or (lands is not None and lands < tick):
+                break  # timed out, or the route is known: the chain ends here
+            for t, (events, rreq, rrep) in enumerate(trip, tick):
+                row = counts.setdefault(t, [0, 0, 0])
+                row[0] += events
+                row[1] += rreq
+                row[2] += rrep
+
+    def _flood(self, entries: list[int]) -> tuple[list[list[int]], Optional[int]]:
+        """The route request an entity broadcasts to ``entries``, in one pass.
 
         Every RREQ hop takes one tick and copies due on the same tick are
         handled in the order they were sent, so the flood is a breadth-first
         search from ``entries``: the nodes at depth d handle their first copy
-        at ``tick + d`` and each rebroadcasts once (the destination answers
-        instead), and the later copies a node would drop arrive a tick after
-        their senders'.  None of that changes anything but the counters and
-        the routes, so the search runs now; its counts wait per tick in
-        ``flood_counts`` for ``_run_until``, and only the reply is queued,
-        for the tick after the destination hears the request.
+        d ticks after the broadcast and each rebroadcasts once (the
+        destination answers instead), and the later copies a node would drop
+        arrive a tick after their senders'.  Returns the counts ``[events,
+        rreq, rrep]`` per tick from the broadcast on, and the destination's
+        depth, the reply's hop count (None if the flood misses it).
         """
-        self.counters.rreq += 1
-        sc = self.scenario
-        destination = sc.destination
-        neighbors = sc.neighbors
-        counts = self.flood_counts
-        parent: list[Optional[int]] = [None] * len(neighbors)
+        destination = self.scenario.destination
+        neighbors = self.scenario.neighbors
+        reached = [False] * len(neighbors)
         for node in entries:
-            parent[node] = origin
+            reached[node] = True
+        rows = [[0, 1, 0]]
+        hops = None
+        dropped = 0
         frontier = entries
-        reply_tick = None
-        t = tick
         while frontier:
-            t += 1
             heard = []
             sent = 0
             for node in frontier:
                 if node == destination:
-                    reply_tick = t
+                    hops = len(rows)
                     continue
                 links = neighbors[node]
                 sent += len(links)
                 for m in links:
-                    if parent[m] is None:
-                        parent[m] = node
+                    if not reached[m]:
+                        reached[m] = True
                         heard.append(m)
-            answered = reply_tick == t
-            row = counts.setdefault(t, [0, 0, 0])
-            row[0] += len(frontier)
-            row[1] += len(frontier) - answered
-            row[2] += answered
+            answered = int(hops == len(rows))
+            rows.append([len(frontier) + dropped, len(frontier) - answered, answered])
             # Every copy sent that claimed no node is dropped on arrival.
-            if sent > len(heard):
-                counts.setdefault(t + 1, [0, 0, 0])[0] += sent - len(heard)
+            dropped = sent - len(heard)
             frontier = heard
-        # A retry floods from where its entity still stands, so replacing the
-        # map leaves the path of an earlier flood's reply as it was.
-        self.routes[origin] = parent
-        if reply_tick is not None:
-            hops = reply_tick - tick
-            reply = (EventKind.RREP, parent[destination], origin, sc.node_pos(destination), hops)
-            self.queue.schedule(reply_tick + 1, reply)
-
-    def _on_rrep(self, tick: int, target: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
-        if target == origin:
-            self._deliver_rrep(tick, origin, dest_pos, route_hops)
-            return
-        self.counters.rrep += 1
-        prev = self.routes[origin][target]
-        self.queue.schedule(tick + 1, (EventKind.RREP, prev, origin, dest_pos, route_hops))
-
-    def _deliver_rrep(self, tick: int, origin: int, dest_pos: tuple, route_hops: int) -> None:
-        ident = ~origin
-        entity = self.entities[ident]
-        if entity.dest_pos is not None:
-            return  # duplicate reply
-        entity.dest_pos = (dest_pos[0], dest_pos[1])
-        entity.route_hops = route_hops
-        self.walkers[ident] = tick + 1
+        if dropped:
+            rows.append([dropped, 0, 0])
+        return rows, hops
 
     # -- session surface ----------------------------------------------------
 

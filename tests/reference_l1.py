@@ -35,9 +35,10 @@ class ReferenceSession:
 
     ``seen`` tallies what the session exercised: ``floods``, ``retries``
     (floods after an entity's first), ``unreachable`` (floods that reach no
-    node), ``crossing`` (floods handled in more than one window), ``replies``
-    and ``reply_on_retry_tick`` (a reply delivered on the tick its entity's
-    next query runs, which then runs first).
+    node), ``crossing`` (floods handled in more than one window), ``replies``,
+    ``reply_on_retry_tick`` (a reply delivered on the tick its entity's
+    next query runs, which then runs first) and ``reply_after_timeout`` (a
+    reply delivered after its entity's retry chain ended at the limit).
     """
 
     def __init__(self, scenario, entities: list[EntityRecord], fine_steps: int) -> None:
@@ -62,6 +63,8 @@ class ReferenceSession:
         self.window = 0
         # Entity -> the tick its last query ran.
         self.query_tick: dict[int, int] = {}
+        # Entities whose retry chain ended at QUERY_RETRY_LIMIT floods.
+        self.timed_out: set[int] = set()
         for node in range(scenario.num_nodes):
             self._queue(node % WARMUP_TICKS, ("beacon", node))
         self._run_until(WARMUP_TICKS)
@@ -93,7 +96,10 @@ class ReferenceSession:
 
     def _query(self, tick: int, eid: int) -> None:
         self.query_tick[eid] = tick
-        if eid in self.dest_pos or self.queries[eid] >= QUERY_RETRY_LIMIT:
+        if eid in self.dest_pos:
+            return
+        if self.queries[eid] >= QUERY_RETRY_LIMIT:
+            self.timed_out.add(eid)
             return
         self.queries[eid] += 1
         seq = self.queries[eid]
@@ -132,6 +138,7 @@ class ReferenceSession:
             return  # a later flood's reply
         self.seen["replies"] += 1
         self.seen["reply_on_retry_tick"] += self.query_tick[eid] == tick
+        self.seen["reply_after_timeout"] += eid in self.timed_out
         self.dest_pos[eid] = dest_pos
         self.state[eid][3] = hops
         self._queue(tick + 1, ("move", eid))

@@ -319,6 +319,20 @@ def test_cli_rejects_bad_values(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--range", "nan", "interaction_range must be finite, not nan"),
+        ("--threshold", "nan", "forwarding_threshold must be finite, not nan"),
+        ("--density", "nan", "density must be finite, not nan"),
+        ("--density", "1e-320", "world_side must be finite: density 1e-320 is too small"),
+    ],
+)
+def test_cli_rejects_non_finite_values(capsys, flag, value, message):
+    assert main(["simulate", "--ses", "50", "--timesteps", "3", flag, value]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("how", ["flag", "config", "plan"])
 def test_bad_value_exits_2_naming_its_source(tmp_path, capsys, how):
     cfg, plan = tmp_path / "run.cfg", tmp_path / "run.plan"

@@ -70,6 +70,16 @@ def test_validation_rejects(kw):
         SimConfig(**kw)
 
 
+FLOAT_FIELDS = [f.name for f in fields(SimConfig) if isinstance(getattr(SimConfig(), f.name), float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_validation_rejects_non_finite_floats(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        SimConfig(**{name: value})
+
+
 def test_trigger_parse():
     trig = SpawnTrigger.parse("10:2:5")
     assert trig == SpawnTrigger(at_timestep=10, lp_id=2, entity_count=5)

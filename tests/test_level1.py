@@ -1,4 +1,4 @@
-"""Fine-grained engine: event queue, grid mesh, discovery, and walking."""
+"""Fine-grained engine: grid mesh, beacons, discovery, and walking."""
 
 import hashlib
 import math
@@ -15,13 +15,9 @@ from iotsim.level1 import (
     GRID_SPACING,
     QUERY_RETRY_LIMIT,
     WARMUP_TICKS,
-    EventKind,
-    EventQueue,
-    EventQueueOverflow,
     GridScenario,
     L1Entity,
     L1Instance,
-    SchedulingError,
     beacons_before,
 )
 from iotsim.protocol import EntityRecord, Final, Init, StepResult, encode
@@ -39,47 +35,6 @@ def _bfs_hops(scenario, src, dst):
                 dist[m] = dist[n] + 1
                 frontier.append(m)
     raise AssertionError(f"no path {src} -> {dst}")
-
-
-# -- event queue --------------------------------------------------------------
-
-
-def test_queue_orders_by_tick_then_insertion():
-    q = EventQueue()
-    q.schedule(5, ("b",))
-    q.schedule(3, ("a",))
-    q.schedule(5, ("c",))
-    assert q.pop() == (3, ("a",))
-    assert q.pop() == (5, ("b",))
-    assert q.pop() == (5, ("c",))
-    assert q.pop() is None
-
-
-def test_queue_rejects_events_in_the_past():
-    q = EventQueue()
-    q.schedule(4, ("a",))
-    q.pop()
-    assert q.now == 4
-    q.schedule(4, ("same-tick-ok",))
-    with pytest.raises(SchedulingError):
-        q.schedule(3, ("late",))
-
-
-def test_queue_overflow_guard():
-    q = EventQueue(limit=10)
-    for i in range(10):
-        q.schedule(i, ("e", i))
-    with pytest.raises(EventQueueOverflow):
-        q.schedule(99, ("too-many",))
-
-
-def test_pop_before_respects_window():
-    q = EventQueue()
-    q.schedule(2, ("a",))
-    q.schedule(7, ("b",))
-    assert q.pop_before(5) == (2, ("a",))
-    assert q.pop_before(5) is None
-    assert len(q) == 1
 
 
 # -- grid mesh ----------------------------------------------------------------
@@ -326,22 +281,22 @@ def test_from_init_without_entities():
     assert counters.events_processed > 0
 
 
-def test_the_heap_holds_no_walker_ticks_and_no_rreqs(monkeypatch):
-    queued = []
-    schedule = EventQueue.schedule
+def test_each_entity_runs_one_search_and_walks(monkeypatch):
+    searches = []
+    flood = L1Instance._flood
 
-    def spy(self, tick, event):
-        queued.append(event)
-        schedule(self, tick, event)
+    def spy(self, entries):
+        searches.append(entries)
+        return flood(self, entries)
 
-    monkeypatch.setattr(EventQueue, "schedule", spy)
+    monkeypatch.setattr(L1Instance, "_flood", spy)
     entities = tuple(EntityRecord(i, 60.0 + 7.0 * i, 50.0 - 3.0 * i, "mobile") for i in range(1, 6))
     init = Init("spy", seed=99, grid_side=8, fine_steps=400, entities=entities)
     inst = L1Instance.from_init(init)
     for t in range(6):
         records, _ = inst.run_one_coarse_step(t)
-    # Floods are counted, not queued: only queries and reply hops are events.
-    assert {event[0] for event in queued} == {EventKind.QUERY, EventKind.RREP}
+    # One breadth-first search per entity, however many times it floods.
+    assert len(searches) == len(entities)
     # Every entity found its route and walked.
     assert all(r.hops is not None and (r.x, r.y) != (e.x, e.y) for r, e in zip(records, entities))
 
@@ -426,6 +381,20 @@ def test_a_reply_on_its_retry_tick_comes_after_the_retry():
     assert ref.seen["reply_on_retry_tick"] == 1
     assert ref.seen["retries"] == 1
     assert inst.entities[5].route_hops == 25
+
+
+def test_a_reply_after_the_last_retry_still_lands():
+    # From node 0 to the far corner of a side-105 grid is 208 hops: the
+    # first reply lands at tick 10 + 2 * 208 = 426, after all eight floods
+    # (ticks 10-360) and the query at 410 that ends the chain.
+    scenario = GridScenario.build(105, destination=105 * 105 - 1)
+    x, y = scenario.node_pos(0)
+    inst = L1Instance(scenario, [L1Entity(5, x, y, "mobile")], fine_steps=100)
+    ref = ReferenceSession(scenario, [EntityRecord(5, x, y, "mobile")], fine_steps=100)
+    _check_against_reference(inst, ref, 5)
+    assert ref.seen["reply_after_timeout"] == 1
+    assert ref.seen["retries"] == QUERY_RETRY_LIMIT - 1
+    assert inst.entities[5].route_hops == 208
 
 
 # -- session bytes --------------------------------------------------------------
