@@ -97,16 +97,14 @@ def collect_metrics(result: RunResult, peak_rss_l0: Optional[int]) -> RunMetrics
 # -- schedules -----------------------------------------------------------------
 
 
-def sequential_schedule(
-    activations: int, total_timesteps: int, lp_id: int = 0, entity_count: int = 1
-) -> tuple[SpawnTrigger, ...]:
-    """Evenly spaced triggers on one LP, one session at a time."""
+def sequential_schedule(activations: int, total_timesteps: int) -> tuple[SpawnTrigger, ...]:
+    """Evenly spaced single-entity triggers on LP 0, one session at a time."""
     if activations == 0:
         return ()
     if activations >= total_timesteps:
         raise ConfigError("more activations than timesteps")
     return tuple(
-        SpawnTrigger((i + 1) * total_timesteps // (activations + 1), lp_id, entity_count)
+        SpawnTrigger((i + 1) * total_timesteps // (activations + 1), 0, 1)
         for i in range(activations)
     )
 

@@ -14,6 +14,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _require_ints(obj: object) -> None:
+    """Raise ``ConfigError`` unless every ``int`` field of ``obj`` holds an int (not a bool)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{f.name} must be an int, not {value!r}")
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class SpawnTrigger:
     """Request to delegate ``entity_count`` entities of one LP at a timestep."""
@@ -21,6 +29,9 @@ class SpawnTrigger:
     at_timestep: int
     lp_id: int
     entity_count: int
+
+    def __post_init__(self) -> None:
+        _require_ints(self)
 
     @classmethod
     def parse(cls, text: str) -> "SpawnTrigger":
@@ -58,6 +69,7 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        _require_ints(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -96,9 +108,11 @@ class SimConfig:
             raise ConfigError("l1_grid_side must be >= 2")
         if self.l1_transport not in ("tcp", "loopback"):
             raise ConfigError("l1_transport must be 'tcp' or 'loopback'")
-        object.__setattr__(self, "l1_schedule", tuple(
-            t if isinstance(t, SpawnTrigger) else SpawnTrigger(*t) for t in self.l1_schedule
-        ))
+        try:
+            schedule = tuple(t if isinstance(t, SpawnTrigger) else SpawnTrigger(*t) for t in self.l1_schedule)
+        except TypeError:
+            raise ConfigError(f"bad l1_schedule {self.l1_schedule!r}, triggers are (t, lp, count)") from None
+        object.__setattr__(self, "l1_schedule", schedule)
         for trig in self.l1_schedule:
             if not 0 <= trig.at_timestep < self.total_timesteps:
                 raise ConfigError(f"trigger timestep {trig.at_timestep} outside run")

@@ -1,13 +1,16 @@
 """Fine-grained simulator: a wireless grid plus walking entities.
 
 One instance hosts a square grid of fixed nodes (a local device mesh) and the
-entities delegated to it.  Every route is discovered from an entity: a
-mobile entity broadcasts a route query to the nodes in its radio range, the
-query floods the mesh hop by hop, and the destination node answers along the
-reverse path with its position and the hop count.  The entity then walks
-straight to that node at ``WALK_SPEED`` per coarse timestep until it is
-within ``ARRIVAL_RADIUS``.  Time is an integer count of fine ticks;
-``fine_steps`` ticks make up one coarse timestep of the driving simulation.
+entities delegated to it.  The grid is a function of the module's constants:
+nodes ``GRID_SPACING`` apart, each linked to every node within ``RADIO_RANGE``
+on the mesh, so its links depend only on its side.  Every route is discovered
+from an entity: a mobile entity broadcasts a route query to the nodes in its
+radio range, the query floods the mesh hop by hop, and the destination node
+answers along the reverse path with its position and the hop count.  The
+entity then walks straight to that node at ``WALK_SPEED`` per coarse timestep
+until it is within ``ARRIVAL_RADIUS``.  Time is an integer count of fine
+ticks; ``fine_steps`` ticks make up one coarse timestep of the driving
+simulation.
 
 There is no event queue.  Each event is counted at the tick it would be
 handled: beacons in closed form, an entity's whole route discovery (its
@@ -46,6 +49,8 @@ from .protocol import (
 GRID_SPACING = 20.0
 # In [spacing, spacing*sqrt(2)): grid radio links are exactly 4-adjacent.
 RADIO_RANGE = 25.0
+# Index offset beyond which two nodes, or a point and a node, are out of range.
+REACH = math.floor(RADIO_RANGE / GRID_SPACING) + 1
 WARMUP_TICKS = 10
 BEACON_INTERVAL = 25
 # Pedestrian pace, space units per coarse timestep.
@@ -53,97 +58,47 @@ WALK_SPEED = 1.4
 ARRIVAL_RADIUS = 1.0
 QUERY_RETRY_TICKS = 50
 QUERY_RETRY_LIMIT = 8
-# Grids anchored within this of the origin, in both coordinates, take their
-# links from the per-shape table (see ``_offset_links``).  A torus of 10**8
-# SEs at the default density is 10**6 wide, so sessions of any run up to that
-# size do.
-ANCHOR_BOUND = 2.0**20
 
 
 @dataclass(frozen=True)
 class GridScenario:
-    """Square mesh of fixed nodes with unit-disc radio links."""
+    """Square mesh of ``side`` x ``side`` fixed nodes, ``GRID_SPACING`` apart
+    from ``anchor`` (node 0) in row-major order; its links are ``_links(side)``."""
 
     side: int
-    spacing: float
-    radio_range: float
-    positions: tuple[tuple[float, float], ...]
+    anchor: tuple[float, float]
     neighbors: tuple[tuple[int, ...], ...]
     destination: int
 
     @classmethod
-    def build(
-        cls,
-        side: int,
-        destination: int,
-        anchor: tuple[float, float] = (0.0, 0.0),
-        spacing: float = GRID_SPACING,
-        radio_range: float = RADIO_RANGE,
-    ) -> "GridScenario":
+    def build(cls, side: int, destination: int, anchor: tuple[float, float] = (0.0, 0.0)) -> "GridScenario":
         if not 0 <= destination < side * side:
             raise ValueError("destination outside the grid")
-        ax, ay = anchor
-        positions = tuple(
-            (ax + (n % side) * spacing, ay + (n // side) * spacing) for n in range(side * side)
-        )
-        neighbors = None
-        if abs(ax) <= ANCHOR_BOUND and abs(ay) <= ANCHOR_BOUND:
-            neighbors = _offset_links(side, spacing, radio_range)
-        if neighbors is None:
-            # Link by actual distance, not index math: the 4-adjacency shape is
-            # a consequence of the chosen range, not an assumption.  Index math
-            # only narrows the candidates to the nodes that could be in range.
-            reach = _index_reach(spacing, radio_range)
-            neighbors = tuple(
-                tuple(
-                    m
-                    for m in _window(side, n % side, n // side, reach)
-                    if m != n and math.dist(positions[n], positions[m]) <= radio_range
-                )
-                for n in range(side * side)
-            )
-        return cls(side, spacing, radio_range, positions, neighbors, destination)
+        return cls(side, anchor, _links(side), destination)
 
     def node_pos(self, node: int) -> tuple[float, float]:
-        return self.positions[node]
+        ax, ay = self.anchor
+        return ax + (node % self.side) * GRID_SPACING, ay + (node // self.side) * GRID_SPACING
 
     @property
     def num_nodes(self) -> int:
         return self.side * self.side
 
 
-def _index_reach(spacing: float, radio_range: float) -> int:
-    """Index offset beyond which two grid points are farther apart than the range."""
-    return math.floor(radio_range / spacing) + 1
-
-
 @functools.lru_cache(maxsize=16)
-def _offset_links(side: int, spacing: float, radio_range: float) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Each node's neighbours by index offset, the same for any anchor within
-    ``ANCHOR_BOUND``; None when rounding could flip a link.
+def _links(side: int) -> tuple[tuple[int, ...], ...]:
+    """Each node's neighbours, in ascending order: the nodes at an index
+    offset whose length on the mesh is at most ``RADIO_RANGE``.
 
-    A position coordinate is ``a + i * spacing`` rounded twice, so it is
-    within 2**-52 * M of exact, M = ANCHOR_BOUND + (side - 1) * spacing.
-    ``math.dist`` rounds the difference and the norm, and the nominal
-    ``hypot`` below rounds too, so the per-pair distance ``build`` would test
-    is within 2**-49 * (M + D) of the offset's nominal one, D < 2 * (range +
-    spacing) inside the index window.  When some offset's nominal distance
-    is within 512 times that of the range, a pair at that offset could
-    compare either way, so there is no table and the caller tests every pair.
+    The links are the mesh's shape, wherever it lies: they do not depend on
+    how node positions round far from the origin.
     """
-    reach = _index_reach(spacing, radio_range)
-    extent = ANCHOR_BOUND + (side - 1) * spacing
-    margin = 2.0**-40 * (extent + 2 * (radio_range + spacing))
-    offsets = []
-    for dr in range(-reach, reach + 1):
-        for dc in range(-reach, reach + 1):
-            if dr == dc == 0:
-                continue
-            dist = math.hypot(dc * spacing, dr * spacing)
-            if not abs(dist - radio_range) > margin:
-                return None
-            if dist < radio_range:
-                offsets.append((dr, dc))
+    offsets = [
+        (dr, dc)
+        for dr in range(-REACH, REACH + 1)
+        for dc in range(-REACH, REACH + 1)
+        if (dr, dc) != (0, 0) and math.hypot(dc * GRID_SPACING, dr * GRID_SPACING) <= RADIO_RANGE
+    ]
     return tuple(
         tuple(
             (row + dr) * side + col + dc
@@ -153,13 +108,6 @@ def _offset_links(side: int, spacing: float, radio_range: float) -> Optional[tup
         for row in range(side)
         for col in range(side)
     )
-
-
-def _window(side: int, col: int, row: int, reach: int) -> list[int]:
-    """Nodes within ``reach`` rows and columns of (col, row), in ascending order."""
-    rows = range(max(0, row - reach), min(side, row + reach + 1))
-    cols = range(max(0, col - reach), min(side, col + reach + 1))
-    return [r * side + c for r in rows for c in cols]
 
 
 def beacons_before(phase_counts: list[int], tick: int) -> int:
@@ -180,7 +128,6 @@ class L1Entity:
     x: float
     y: float
     kind: str
-    dest_pos: Optional[tuple[float, float]] = None
     route_hops: Optional[int] = None
     arrived: bool = False
 
@@ -269,9 +216,7 @@ class L1Instance:
         for eid, (tick, hops) in list(self.replies.items()):
             if tick < end_tick:
                 del self.replies[eid]
-                entity = self.entities[eid]
-                entity.dest_pos = self.scenario.node_pos(self.scenario.destination)
-                entity.route_hops = hops
+                self.entities[eid].route_hops = hops
                 self.walkers[eid] = tick + 1
         self._walk_until(end_tick)
 
@@ -285,9 +230,10 @@ class L1Instance:
         """
         counters = self.counters
         step_len = self.step_len
+        # Every walker heads for the destination node.
+        tx, ty = self.scenario.node_pos(self.scenario.destination)
         for eid, tick in list(self.walkers.items()):
             entity = self.entities[eid]
-            tx, ty = entity.dest_pos
             x, y = entity.x, entity.y
             start = tick
             while tick < end_tick:
@@ -311,18 +257,20 @@ class L1Instance:
     def _entry_nodes(self, x: float, y: float) -> list[int]:
         """Nodes whose radio reaches (x, y), in ascending order."""
         sc = self.scenario
-        reach = _index_reach(sc.spacing, sc.radio_range)
-        ax, ay = sc.positions[0]
+        ax, ay = sc.anchor
         # Cell coordinates of the point; NaN and far-off points fail here.
-        cx = (x - ax) / sc.spacing
-        cy = (y - ay) / sc.spacing
-        if not (-reach <= cx <= sc.side - 1 + reach and -reach <= cy <= sc.side - 1 + reach):
+        cx = (x - ax) / GRID_SPACING
+        cy = (y - ay) / GRID_SPACING
+        if not (-REACH <= cx <= sc.side - 1 + REACH and -REACH <= cy <= sc.side - 1 + REACH):
             return []
-        return [
-            n
-            for n in _window(sc.side, math.floor(cx), math.floor(cy), reach)
-            if math.dist((x, y), sc.positions[n]) <= sc.radio_range
-        ]
+        col, row = math.floor(cx), math.floor(cy)
+        window = (
+            r * sc.side + c
+            for r in range(max(0, row - REACH), min(sc.side, row + REACH + 1))
+            for c in range(max(0, col - REACH), min(sc.side, col + REACH + 1))
+        )
+        # An entity is anywhere, so its range is a real distance, not an offset.
+        return [n for n in window if math.dist((x, y), sc.node_pos(n)) <= RADIO_RANGE]
 
     # -- route discovery ------------------------------------------------------
 

@@ -24,6 +24,7 @@ from iotsim.level1 import (
     BEACON_INTERVAL,
     QUERY_RETRY_LIMIT,
     QUERY_RETRY_TICKS,
+    RADIO_RANGE,
     WALK_SPEED,
     WARMUP_TICKS,
 )
@@ -107,7 +108,7 @@ class ReferenceSession:
         self.seen["retries"] += seq > 1
         xy = self.state[eid][:2]
         sc = self.scenario
-        entries = [n for n in range(sc.num_nodes) if math.dist(xy, sc.positions[n]) <= sc.radio_range]
+        entries = [n for n in range(sc.num_nodes) if math.dist(xy, sc.node_pos(n)) <= RADIO_RANGE]
         self.seen["unreachable"] += not entries
         self.rreq += 1
         for node in entries:
@@ -123,7 +124,7 @@ class ReferenceSession:
         sc = self.scenario
         if node == sc.destination:
             self.rrep += 1
-            self._queue(tick + 1, ("rrep", prev, eid, sc.positions[node], hops))
+            self._queue(tick + 1, ("rrep", prev, eid, sc.node_pos(node), hops))
             return
         self.rreq += 1
         for m in sc.neighbors[node]:

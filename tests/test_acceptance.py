@@ -376,7 +376,7 @@ def test_c09_guided_walk_arrives_on_schedule(verdicts):
     anchor = (start[0] - half, start[1] - half)
     dest_pos = (anchor[0] + (dest % side) * 20.0, anchor[1] + (dest // side) * 20.0)
     entries = [
-        n for n in range(side * side) if math.dist(start, inst.scenario.positions[n]) <= 25.0
+        n for n in range(side * side) if math.dist(start, inst.scenario.node_pos(n)) <= 25.0
     ]
     assert inst.scenario.destination == dest and len(entries) == 4
 

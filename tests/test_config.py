@@ -80,6 +80,28 @@ def test_validation_rejects_non_finite_floats(name, value):
         SimConfig(**{name: value})
 
 
+INT_FIELDS = [f.name for f in fields(SimConfig) if f.type == "int"]
+
+
+@pytest.mark.parametrize(
+    "kw, field",
+    [
+        *(({name: 2.5}, name) for name in INT_FIELDS),
+        *(({name: True}, name) for name in INT_FIELDS),
+        ({"seed": "1"}, "seed"),
+        ({"l1_schedule": ((1.5, 0, 1),)}, "at_timestep"),
+        ({"l1_schedule": ((1, False, 1),)}, "lp_id"),
+        ({"l1_schedule": ((1, 0, 1.0),)}, "entity_count"),
+        ({"l1_schedule": ((1, 0),)}, "l1_schedule"),
+        ({"l1_schedule": ((1, 0, 1, 1),)}, "l1_schedule"),
+        ({"l1_schedule": (5,)}, "l1_schedule"),
+    ],
+)
+def test_validation_rejects_non_integers_for_int_fields(kw, field):
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**kw)
+
+
 def test_trigger_parse():
     trig = SpawnTrigger.parse("10:2:5")
     assert trig == SpawnTrigger(at_timestep=10, lp_id=2, entity_count=5)

@@ -10,10 +10,10 @@ from reference_l1 import ReferenceSession
 
 from iotsim import rng
 from iotsim.level1 import (
-    ANCHOR_BOUND,
     BEACON_INTERVAL,
     GRID_SPACING,
     QUERY_RETRY_LIMIT,
+    RADIO_RANGE,
     WARMUP_TICKS,
     GridScenario,
     L1Entity,
@@ -50,35 +50,34 @@ def test_grid_links_are_four_adjacent(side):
     assert degrees.count(4) == side * side - 4 * side + 4
     for n, ns in enumerate(scenario.neighbors):
         for m in ns:
-            assert math.dist(scenario.positions[n], scenario.positions[m]) == GRID_SPACING
+            assert math.dist(scenario.node_pos(n), scenario.node_pos(m)) == GRID_SPACING
 
 
 @pytest.mark.parametrize(
-    "radio_range, anchor",
+    "anchor",
     [
-        pytest.param(20.0, (-313.7, 1024.25), id="20.0"),
-        pytest.param(25.0, (-313.7, 1024.25), id="25.0"),
-        pytest.param(45.0, (-313.7, 1024.25), id="45.0"),
-        # Exactly on the diagonal offset's distance: rounding decides each pair.
-        pytest.param(GRID_SPACING * math.sqrt(2), (-313.7, 1024.25), id="diagonal"),
-        # x rounds to multiples of 16 here: links are 16 or 32 long, not 20.
-        pytest.param(25.0, (1e17, -3.0), id="far-anchor"),
-        pytest.param(25.0, (ANCHOR_BOUND, -ANCHOR_BOUND), id="anchor-bound"),
+        pytest.param((-313.7, 1024.25), id="ordinary"),
+        pytest.param((0.0, 0.0), id="origin"),
+        pytest.param((2.0**20, -(2.0**20)), id="anchor-bound"),
     ],
 )
-def test_grid_links_equal_the_all_pairs_scan(radio_range, anchor):
-    # At 45.0 a node reaches two rows and columns away, so the candidate
-    # window must widen with the range.
+def test_grid_links_equal_the_all_pairs_scan(anchor):
     for side in range(2, 16):
-        scenario = GridScenario.build(side, destination=0, anchor=anchor, radio_range=radio_range)
-        pos = scenario.positions
+        scenario = GridScenario.build(side, destination=0, anchor=anchor)
+        pos = [scenario.node_pos(n) for n in range(side * side)]
         want = tuple(
             tuple(
-                m for m in range(side * side) if m != n and math.dist(pos[n], pos[m]) <= radio_range
+                m for m in range(side * side) if m != n and math.dist(pos[n], pos[m]) <= RADIO_RANGE
             )
             for n in range(side * side)
         )
         assert scenario.neighbors == want
+
+
+def test_grid_links_do_not_depend_on_rounding_far_from_the_origin():
+    # x rounds to multiples of 16 here, so node distances are 16 or 32, not 20.
+    far = GridScenario.build(10, destination=0, anchor=(1e17, -3.0))
+    assert far.neighbors == GridScenario.build(10, destination=0).neighbors
 
 
 def test_grid_shape_links_are_built_once():
@@ -103,29 +102,28 @@ def _entry_scan(scenario, x, y):
     return [
         n
         for n in range(scenario.num_nodes)
-        if math.dist((x, y), scenario.positions[n]) <= scenario.radio_range
+        if math.dist((x, y), scenario.node_pos(n)) <= RADIO_RANGE
     ]
 
 
-@pytest.mark.parametrize("radio_range", [20.0, 25.0, 45.0])
-def test_entry_nodes_equal_the_full_scan(radio_range):
-    scenario = GridScenario.build(6, destination=0, anchor=(57.5, -20.0), radio_range=radio_range)
+def test_entry_nodes_equal_the_full_scan():
+    scenario = GridScenario.build(6, destination=0, anchor=(57.5, -20.0))
     inst = L1Instance(scenario, [], fine_steps=1)
-    (x0, y0), (x1, y1) = scenario.positions[0], scenario.positions[-1]
+    (x0, y0), (x1, y1) = scenario.node_pos(0), scenario.node_pos(35)
     draw = random.Random(11)
     points = [(draw.uniform(x0, x1), draw.uniform(y0, y1)) for _ in range(200)]  # inside
     points += [
         (draw.uniform(x0 - 150, x1 + 150), draw.uniform(y0 - 150, y1 + 150)) for _ in range(400)
     ]
     # Exactly on the range boundary of a corner, an edge and an inner node.
-    r = radio_range
-    for nx, ny in (scenario.positions[0], scenario.positions[3], scenario.positions[14]):
+    r = RADIO_RANGE
+    for nx, ny in (scenario.node_pos(0), scenario.node_pos(3), scenario.node_pos(14)):
         points += [(nx - r, ny), (nx + r, ny), (nx, ny - r), (nx, ny + r)]
-    points += [(x0 - radio_range - 1e-9, y0), (x1, y1 + radio_range + 1e-9)]  # just outside
+    points += [(x0 - r - 1e-9, y0), (x1, y1 + r + 1e-9)]  # just outside
     points += [(1e12, y0), (x0, -1e300), (math.inf, y0), (math.nan, y0)]  # far off
     for x, y in points:
         assert inst._entry_nodes(x, y) == _entry_scan(scenario, x, y), (x, y)
-    assert inst._entry_nodes(x0 - radio_range, y0) == [0]
+    assert inst._entry_nodes(x0 - r, y0) == [0]
 
 
 # -- beacons ------------------------------------------------------------------
