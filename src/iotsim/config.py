@@ -14,12 +14,18 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_ints(obj: object) -> None:
-    """Raise ``ConfigError`` unless every ``int`` field of ``obj`` holds an int (not a bool)."""
+# A field's annotation -> the types its value may have: an int is a float too,
+# but a bool, although an int subclass, is neither.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _check_types(obj: object) -> None:
+    """Raise ``ConfigError`` unless every int, float, bool and str field of ``obj`` holds one."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{f.name} must be an int, not {value!r}")
+        types = _FIELD_TYPES.get(f.type)
+        if types and (not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool")):
+            raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -31,7 +37,7 @@ class SpawnTrigger:
     entity_count: int
 
     def __post_init__(self) -> None:
-        _require_ints(self)
+        _check_types(self)
 
     @classmethod
     def parse(cls, text: str) -> "SpawnTrigger":
@@ -69,7 +75,7 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        _require_ints(self)
+        _check_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

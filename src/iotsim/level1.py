@@ -32,8 +32,6 @@ import signal
 import socket
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
 
 from . import rng
 from .protocol import (
@@ -60,15 +58,19 @@ QUERY_RETRY_TICKS = 50
 QUERY_RETRY_LIMIT = 8
 
 
-@dataclass(frozen=True)
 class GridScenario:
     """Square mesh of ``side`` x ``side`` fixed nodes, ``GRID_SPACING`` apart
     from ``anchor`` (node 0) in row-major order; its links are ``_links(side)``."""
 
-    side: int
-    anchor: tuple[float, float]
-    neighbors: tuple[tuple[int, ...], ...]
-    destination: int
+    __slots__ = ("side", "anchor", "neighbors", "destination")
+
+    def __init__(
+        self, side: int, anchor: tuple[float, float], neighbors: tuple[tuple[int, ...], ...], destination: int
+    ) -> None:
+        self.side = side
+        self.anchor = anchor
+        self.neighbors = neighbors
+        self.destination = destination
 
     @classmethod
     def build(cls, side: int, destination: int, anchor: tuple[float, float] = (0.0, 0.0)) -> "GridScenario":
@@ -122,22 +124,23 @@ def beacons_before(phase_counts: list[int], tick: int) -> int:
     )
 
 
-@dataclass(slots=True)
 class L1Entity:
-    id: int
-    x: float
-    y: float
-    kind: str
-    route_hops: Optional[int] = None
-    arrived: bool = False
+    __slots__ = ("id", "x", "y", "kind", "route_hops", "arrived")
+
+    def __init__(self, id: int, x: float, y: float, kind: str) -> None:
+        self.id = id
+        self.x = x
+        self.y = y
+        self.kind = kind
+        self.route_hops: int | None = None
+        self.arrived = False
 
 
-@dataclass(slots=True)
 class _Counters:
-    rreq: int = 0
-    rrep: int = 0
-    arrivals: int = 0
-    events_processed: int = 0
+    __slots__ = ("rreq", "rrep", "arrivals", "events_processed")
+
+    def __init__(self) -> None:
+        self.rreq = self.rrep = self.arrivals = self.events_processed = 0
 
     def snapshot(self) -> Counters:
         return Counters(self.rreq, self.rrep, self.arrivals, self.events_processed)
@@ -309,7 +312,7 @@ class L1Instance:
                 row[1] += rreq
                 row[2] += rrep
 
-    def _flood(self, entries: list[int]) -> tuple[list[list[int]], Optional[int]]:
+    def _flood(self, entries: list[int]) -> tuple[list[list[int]], int | None]:
         """The route request an entity broadcasts to ``entries``, in one pass.
 
         Every RREQ hop takes one tick and copies due on the same tick are
@@ -365,15 +368,7 @@ class L1Instance:
 
     def status_records(self) -> tuple[EntityRecord, ...]:
         return tuple(
-            EntityRecord(
-                id=e.id,
-                x=e.x,
-                y=e.y,
-                kind=e.kind,
-                arrived=e.arrived,
-                hops=e.route_hops,
-            )
-            for e in self.entities.values()
+            [EntityRecord(e.id, e.x, e.y, e.kind, e.arrived, e.route_hops) for e in self.entities.values()]
         )
 
 

@@ -13,16 +13,22 @@ One session per instance, strict request/response over a byte stream:
     either     ERROR        {"type":"ERROR","code":...,"detail":...}
 
 Every message is one minified JSON object per line, LF-terminated, fixed key
-order.  The instance side of a session is one state machine with no I/O,
+order.  The table of message classes below is the one place the grammar is
+stated: each type's keys in wire order and each field's check, which the
+constructor and ``decode`` apply alike; ``encode`` and ``decode`` walk it.
+Entity records carry {"id","x","y","kind"} in INIT and
+additionally {"arrived","hops"} in status reports; coordinates are finite
+and written with at most 6 fractional digits, and counters are non-negative.
+
+The instance side of a session is one state machine with no I/O,
 ``InstanceSession``.  A TCP session runs it in a child, over a byte-line
 ``Transport`` on a loopback TCP connection; a loopback session runs it
 inline, as the engine's transport, with no socket.  Either way every line is
 encoded, decoded and logged, so identical sessions produce byte-identical
-transcripts.  Entity records carry {"id","x","y","kind"} in INIT and
-additionally {"arrived","hops"} in status reports; coordinates are finite
-and written with at most 6 fractional digits, and counters are non-negative.
-Over TCP either side waits at most ``DEFAULT_TIMEOUT`` for each line, the
-value when its transport was made: the only timeout of a session.
+transcripts.  Over TCP either side waits at most ``DEFAULT_TIMEOUT`` for
+each line, the value when its transport was made: the only timeout of a
+session; and a line longer than ``MAX_LINE`` bytes ends the session as
+``line-too-long``.
 """
 
 from __future__ import annotations
@@ -30,14 +36,15 @@ from __future__ import annotations
 import json
 import math
 import socket
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from collections.abc import Callable
 
 PROTOCOL_VERSION = 1
 # Read where a transport or wait is set up, never bound at import: patch it here.
 DEFAULT_TIMEOUT = 30.0
-
-_JSON_OPTS = {"separators": (",", ":")}
+# The longest line a transport reads, LF included; read at each read, like
+# DEFAULT_TIMEOUT.  A status record takes at most about 110 bytes while its
+# coordinates stay below 1e7, so this holds the FINAL of 500k entities.
+MAX_LINE = 64 * 1024 * 1024
 
 
 class ProtocolError(Exception):
@@ -61,185 +68,185 @@ class TransportTimeout(ProtocolError):
 
 # ---------------------------------------------------------------------------
 # Messages
+#
+# The table of ``_message`` calls below is the wire grammar: each message
+# class with the "type" tag of its line (None for a record that travels
+# inside one) and its fields in wire key order, each with the one check that
+# both the constructor and ``decode`` apply, and a default if it may be left
+# out.  A check takes a field's key and value and returns the value to keep,
+# or raises ``bad-field``.
+
+_ABSENT = object()  # a key a JSON object lacks, or a field the constructor was not given
 
 
-@dataclass(frozen=True, slots=True)
-class EntityRecord:
-    id: int
-    x: float
-    y: float
-    kind: str
-    arrived: bool = False
-    hops: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        # The wire carries at most 6 fractional digits; rounding here keeps
-        # encode/decode a true round-trip.
-        try:
-            x, y = round(float(self.x), 6), round(float(self.y), 6)
-        except OverflowError:  # an int too large for a float
-            x = y = math.inf
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ProtocolError("bad-field", f"entity {self.id} has a non-finite coordinate")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if self.kind not in ("static", "mobile"):
-            raise ProtocolError("bad-field", f"unknown entity kind {self.kind!r}")
-        # The fine level keys an entity's hops by ~id, which must not meet a node index.
-        if self.id < 0:
-            raise ProtocolError("bad-field", f"negative entity id {self.id}")
+def _bad_field(key: str, value: object, why: str = "has wrong type") -> ProtocolError:
+    return ProtocolError("bad-field", f"missing {key!r}" if value is _ABSENT else f"{key!r} {why}")
 
 
-@dataclass(frozen=True, slots=True)
-class Hello:
-    version: int = PROTOCOL_VERSION
+def _of(kind: type, low: int | None = None) -> Callable:
+    """Check: a ``kind`` (int, str or bool), at least ``low``; a bool is no int here."""
+
+    def check(key: str, value: object) -> object:
+        if type(value) is not kind and (not isinstance(value, kind) or isinstance(value, bool)):
+            raise _bad_field(key, value)
+        if low is not None and value < low:
+            raise _bad_field(key, value, f"is {value}, below {low}")
+        return value
+
+    return check
 
 
-@dataclass(frozen=True, slots=True)
-class Init:
-    instance_id: str
-    seed: int
-    grid_side: int
-    fine_steps: int
-    entities: tuple[EntityRecord, ...]
+_int = _of(int)
 
 
-@dataclass(frozen=True, slots=True)
-class Continue:
-    timestep: int
+def _one_of(*choices: str) -> Callable:
+    def check(key: str, value: object) -> str:
+        if not isinstance(value, str):
+            raise _bad_field(key, value)
+        if value not in choices:
+            raise _bad_field(key, value, f"is {value!r}, not one of {choices}")
+        return value
+
+    return check
 
 
-@dataclass(frozen=True, slots=True)
-class Counters:
-    rreq: int = 0
-    rrep: int = 0
-    arrivals: int = 0
-    events_processed: int = 0
+def _int_or_null(key: str, value: object) -> int | None:
+    return None if value is None or value is _ABSENT else _int(key, value)
 
 
-@dataclass(frozen=True, slots=True)
-class StepResult:
-    timestep: int
-    entities: tuple[EntityRecord, ...]
-    counters: Counters
-
-
-@dataclass(frozen=True, slots=True)
-class End:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Final:
-    entities: tuple[EntityRecord, ...]
-    counters: Counters
-
-
-@dataclass(frozen=True, slots=True)
-class Error:
-    code: str
-    detail: str
-
-
-CoordMessage = Union[Hello, Init, Continue, StepResult, End, Final, Error]
-
-
-def _init_record_obj(r: EntityRecord) -> dict:
-    return {"id": r.id, "x": r.x, "y": r.y, "kind": r.kind}
-
-
-def _status_record_obj(r: EntityRecord) -> dict:
-    return {"id": r.id, "x": r.x, "y": r.y, "kind": r.kind, "arrived": r.arrived, "hops": r.hops}
-
-
-def _counters_obj(c: Counters) -> dict:
-    return {
-        "rreq": c.rreq,
-        "rrep": c.rrep,
-        "arrivals": c.arrivals,
-        "events_processed": c.events_processed,
-    }
-
-
-def encode(msg: CoordMessage) -> bytes:
-    """One LF-terminated line of minified JSON with a fixed key order."""
-    if isinstance(msg, Hello):
-        obj = {"type": "HELLO", "version": msg.version}
-    elif isinstance(msg, Init):
-        obj = {
-            "type": "INIT",
-            "instance_id": msg.instance_id,
-            "seed": msg.seed,
-            "grid_side": msg.grid_side,
-            "fine_steps": msg.fine_steps,
-            "entities": [_init_record_obj(r) for r in msg.entities],
-        }
-    elif isinstance(msg, Continue):
-        obj = {"type": "CONTINUE", "timestep": msg.timestep}
-    elif isinstance(msg, StepResult):
-        obj = {
-            "type": "STEP_RESULT",
-            "timestep": msg.timestep,
-            "entities": [_status_record_obj(r) for r in msg.entities],
-            "counters": _counters_obj(msg.counters),
-        }
-    elif isinstance(msg, End):
-        obj = {"type": "END"}
-    elif isinstance(msg, Final):
-        obj = {
-            "type": "FINAL",
-            "entities": [_status_record_obj(r) for r in msg.entities],
-            "counters": _counters_obj(msg.counters),
-        }
-    elif isinstance(msg, Error):
-        obj = {"type": "ERROR", "code": msg.code, "detail": msg.detail}
+def _coord(key: str, value: object) -> float:
+    """Check: a finite number, rounded to the 6 fractional digits the wire
+    carries, so that encode and decode round-trip."""
+    if type(value) is float:
+        value = round(value, 6)
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise _bad_field(key, value)
     else:
+        try:
+            value = round(float(value), 6)
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+    if not math.isfinite(value):
+        raise _bad_field(key, value, "is non-finite")
+    return value
+
+
+class _Nested:
+    """Check: a ``cls`` message, or with ``many`` a list of them kept as a
+    tuple, each given as itself or as its JSON object.  That object holds its
+    first ``width`` fields (all by default); the rest take their defaults."""
+
+    def __init__(self, cls: type, width: int | None = None, many: bool = False) -> None:
+        self.cls, self.width, self.many = cls, width, many
+        self.keys = cls._keys[:width]
+
+    def __call__(self, key: str, value: object) -> object:
+        cls = self.cls
+        if not self.many:
+            return value if type(value) is cls else self._object(key, value, "is not an object")
+        if not isinstance(value, (list, tuple)):
+            raise _bad_field(key, value)
+        return tuple([item if type(item) is cls else self._object(key, item, "holds a non-object") for item in value])
+
+    def _object(self, key: str, value: object, why: str) -> _Message:
+        if not isinstance(value, dict):
+            raise _bad_field(key, value, why)
+        return self.cls._read(value, self.width)
+
+    def write(self, value: object) -> object:
+        """``value`` as JSON: an object, or a list of them."""
+        if not self.many:
+            return dict(zip(self.keys, value._values))
+        return [dict(zip(self.keys, item._values)) for item in value]
+
+
+class _Message:
+    """A message, equal only to a message of its own class; its fields are
+    read-only properties over ``_values``."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if len(args) < len(self._keys):
+            rest = zip(self._keys[len(args) :], self._defaults[len(args) :])
+            args = (*args, *[kwargs.pop(key, default) for key, default in rest])
+        if kwargs or len(args) != len(self._keys):
+            raise TypeError(f"{type(self).__name__} takes {self._keys}, not {args} and {kwargs}")
+        self._values = tuple([check(key, value) for key, check, value in zip(self._keys, self._checks, args)])
+
+    @classmethod
+    def _read(cls, obj: dict, width: int | None = None) -> _Message:
+        """The message from its JSON object's first ``width`` fields, each checked once."""
+        values = [check(key, obj.get(key, _ABSENT)) for key, check in zip(cls._keys[:width], cls._checks)]
+        msg = object.__new__(cls)
+        msg._values = (*values, *cls._defaults[len(values) :])
+        return msg
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other._values == self._values
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._values))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._keys, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+def _message(name: str, tag: str | None, *fields: tuple) -> type:
+    """A message class; each field is (key, check) or (key, check, default)."""
+    keys = tuple(field[0] for field in fields)
+    checks = tuple(field[1] for field in fields)
+    defaults = tuple(field[2] if len(field) == 3 else _ABSENT for field in fields)
+    namespace = {key: property(lambda self, index=index: self._values[index]) for index, key in enumerate(keys)}
+    namespace.update(__slots__=(), TYPE=tag, _keys=keys, _checks=checks, _defaults=defaults)
+    return type(name, (_Message,), namespace)
+
+
+EntityRecord = _message(
+    "EntityRecord",
+    None,
+    # The fine level keys an entity's hops by ~id, which must not meet a node index.
+    ("id", _of(int, 0)),
+    ("x", _coord),
+    ("y", _coord),
+    ("kind", _one_of("static", "mobile")),
+    ("arrived", _of(bool), False),
+    ("hops", _int_or_null, None),
+)
+Counters = _message(
+    "Counters", None, *((key, _of(int, 0), 0) for key in ("rreq", "rrep", "arrivals", "events_processed"))
+)
+_STATUS_FIELDS = (("entities", _Nested(EntityRecord, many=True)), ("counters", _Nested(Counters)))
+Hello = _message("Hello", "HELLO", ("version", _int, PROTOCOL_VERSION))
+Init = _message(
+    "Init",
+    "INIT",
+    ("instance_id", _of(str)),
+    ("seed", _int),
+    # SimConfig's bounds: a smaller grid or step count breaks the instance.
+    ("grid_side", _of(int, 2)),
+    ("fine_steps", _of(int, 1)),
+    ("entities", _Nested(EntityRecord, 4, many=True)),
+)
+Continue = _message("Continue", "CONTINUE", ("timestep", _int))
+StepResult = _message("StepResult", "STEP_RESULT", ("timestep", _int), *_STATUS_FIELDS)
+End = _message("End", "END")
+Final = _message("Final", "FINAL", *_STATUS_FIELDS)
+Error = _message("Error", "ERROR", ("code", _of(str)), ("detail", _of(str)))
+
+_BY_TYPE = {cls.TYPE: cls for cls in (Hello, Init, Continue, StepResult, End, Final, Error)}
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode(msg: _Message) -> bytes:
+    """One LF-terminated line of minified JSON, its keys in table order."""
+    if getattr(msg, "TYPE", None) is None:
         raise ProtocolError("bad-message", f"cannot encode {type(msg).__name__}")
-    return (json.dumps(obj, **_JSON_OPTS) + "\n").encode("utf-8")
-
-
-def _require(obj: dict, key: str, kinds) -> object:
-    if key not in obj:
-        raise ProtocolError("bad-field", f"missing {key!r}")
-    value = obj[key]
-    # bool is an int subclass; only accept it where bool is asked for.
-    if not isinstance(value, kinds) or (kinds is not bool and isinstance(value, bool)):
-        raise ProtocolError("bad-field", f"{key!r} has wrong type")
-    return value
-
-
-def _require_at_least(obj: dict, key: str, low: int) -> int:
-    value = _require(obj, key, int)
-    if value < low:
-        raise ProtocolError("bad-field", f"{key!r} is {value}, below {low}")
-    return value
-
-
-def _decode_record(obj: dict, with_status: bool) -> EntityRecord:
-    if not isinstance(obj, dict):
-        raise ProtocolError("bad-field", "entity record is not an object")
-    rid = _require(obj, "id", int)
-    x = _require(obj, "x", (int, float))
-    y = _require(obj, "y", (int, float))
-    kind = _require(obj, "kind", str)
-    if with_status:
-        arrived = _require(obj, "arrived", bool)
-        hops = obj.get("hops")
-        if hops is not None and (not isinstance(hops, int) or isinstance(hops, bool)):
-            raise ProtocolError("bad-field", "'hops' must be an integer or null")
-        return EntityRecord(rid, x, y, kind, arrived, hops)
-    return EntityRecord(rid, x, y, kind)
-
-
-def _decode_counters(obj: object) -> Counters:
-    if not isinstance(obj, dict):
-        raise ProtocolError("bad-field", "'counters' is not an object")
-    return Counters(
-        rreq=_require_at_least(obj, "rreq", 0),
-        rrep=_require_at_least(obj, "rrep", 0),
-        arrivals=_require_at_least(obj, "arrivals", 0),
-        events_processed=_require_at_least(obj, "events_processed", 0),
-    )
+    obj = {"type": msg.TYPE}
+    for key, check, value in zip(msg._keys, msg._checks, msg._values):
+        obj[key] = check.write(value) if type(check) is _Nested else value
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -255,7 +262,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def decode(line: bytes) -> CoordMessage:
+def decode(line: bytes) -> _Message:
     try:
         obj = _DECODER.decode(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or deep nesting
@@ -263,42 +270,14 @@ def decode(line: bytes) -> CoordMessage:
     if not isinstance(obj, dict):
         raise ProtocolError("bad-message", "line is not a JSON object")
     mtype = obj.get("type")
+    cls = _BY_TYPE.get(mtype) if isinstance(mtype, str) else None
+    if cls is None:
+        raise ProtocolError("bad-message", f"unknown message type {mtype!r}")
     try:
-        if mtype == "HELLO":
-            return Hello(version=_require(obj, "version", int))
-        if mtype == "INIT":
-            entities = _require(obj, "entities", list)
-            return Init(
-                instance_id=_require(obj, "instance_id", str),
-                seed=_require(obj, "seed", int),
-                # SimConfig's bounds: a smaller grid or step count breaks the instance.
-                grid_side=_require_at_least(obj, "grid_side", 2),
-                fine_steps=_require_at_least(obj, "fine_steps", 1),
-                entities=tuple(_decode_record(r, with_status=False) for r in entities),
-            )
-        if mtype == "CONTINUE":
-            return Continue(timestep=_require(obj, "timestep", int))
-        if mtype == "STEP_RESULT":
-            entities = _require(obj, "entities", list)
-            return StepResult(
-                timestep=_require(obj, "timestep", int),
-                entities=tuple(_decode_record(r, with_status=True) for r in entities),
-                counters=_decode_counters(obj.get("counters")),
-            )
-        if mtype == "END":
-            return End()
-        if mtype == "FINAL":
-            entities = _require(obj, "entities", list)
-            return Final(
-                entities=tuple(_decode_record(r, with_status=True) for r in entities),
-                counters=_decode_counters(obj.get("counters")),
-            )
-        if mtype == "ERROR":
-            return Error(code=_require(obj, "code", str), detail=_require(obj, "detail", str))
+        return cls._read(obj)
     except ProtocolError as exc:
         # Every field error, nested records and counters included, names its message.
         raise ProtocolError(exc.code, f"{exc.detail} in {mtype}") from None
-    raise ProtocolError("bad-message", f"unknown message type {mtype!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +289,13 @@ class Transport:
 
     Every send and read on it waits at most ``DEFAULT_TIMEOUT``, as it was
     when the transport was made.  When ``transcript`` is set every line is
-    logged.  A read that timed out leaves the reader unusable; every timeout
-    ends the session anyway.
+    logged.  A line longer than ``MAX_LINE`` is refused as ``line-too-long``
+    once its first ``MAX_LINE + 1`` bytes are read.  A read that timed out
+    or was refused leaves the reader unusable; either ends the session
+    anyway.
     """
 
-    def __init__(self, sock: socket.socket, transcript: Optional[list[tuple[str, bytes]]] = None) -> None:
+    def __init__(self, sock: socket.socket, transcript: list[tuple[str, bytes]] | None = None) -> None:
         self.transcript = transcript
         sock.settimeout(DEFAULT_TIMEOUT)
         self._sock = sock
@@ -329,14 +310,17 @@ class Transport:
             raise TransportClosed(f"send failed: {exc}") from None
 
     def recv_line(self) -> bytes:
+        limit = MAX_LINE
         try:
-            line = self._reader.readline()
+            line = self._reader.readline(limit + 1)
         except socket.timeout:
             raise TransportTimeout() from None
         except OSError as exc:
             raise TransportClosed(f"recv failed: {exc}") from None
         if not line:
             raise TransportClosed()
+        if len(line) > limit:
+            raise ProtocolError("line-too-long", f"a line longer than {limit} bytes")
         if self.transcript is not None:
             self.transcript.append(("recv", line))
         return line
@@ -373,7 +357,7 @@ def connect_tcp(transcript=None) -> tuple[Transport, socket.socket]:
 # Session endpoints
 
 
-def _recv_message(transport: Transport) -> CoordMessage:
+def _recv_message(transport: Transport) -> _Message:
     """The peer's next message; a peer's ERROR is raised as ProtocolError."""
     msg = decode(transport.recv_line())
     if isinstance(msg, Error):
@@ -393,12 +377,12 @@ def _fail(transport: Transport, code: str, detail: str) -> ProtocolError:
 class SessionClient:
     """Coarse-engine side of one instance session (strict lock-step)."""
 
-    def __init__(self, transport: Union[Transport, InstanceSession]) -> None:
+    def __init__(self, transport: Transport | InstanceSession) -> None:
         self.transport = transport
-        self._init_ids: Optional[list[int]] = None
+        self._init_ids: list[int] | None = None
         self._done = False
 
-    def _send(self, msg: CoordMessage) -> None:
+    def _send(self, msg: _Message) -> None:
         """Send ``msg``; a peer that already answered with ERROR and hung up
         fails the send, so its buffered ERROR is raised instead."""
         try:
@@ -462,15 +446,15 @@ class InstanceSession:
     ``recv_line`` pops its replies, HELLO first; both log to ``transcript``.
     """
 
-    def __init__(self, make_instance: Callable[[Init], Any], transcript: Optional[list] = None) -> None:
+    def __init__(self, make_instance: Callable[[Init], object], transcript: list | None = None) -> None:
         self.transcript = transcript
         self.done = False
-        self.failure: Optional[Exception] = None
-        self._make_instance: Optional[Callable[[Init], Any]] = make_instance  # None once INIT came
-        self._instance: Any = None
+        self.failure: Exception | None = None
+        self._make_instance: Callable[[Init], object] | None = make_instance  # None once INIT came
+        self._instance: object = None
         self._replies = [encode(Hello())]
 
-    def receive(self, line: bytes) -> Optional[bytes]:
+    def receive(self, line: bytes) -> bytes | None:
         try:
             msg = decode(line)
             if isinstance(msg, Error):
@@ -521,7 +505,7 @@ class InstanceSession:
         return line
 
 
-def serve_session(transport: Transport, make_instance: Callable[[Init], Any]) -> None:
+def serve_session(transport: Transport, make_instance: Callable[[Init], object]) -> None:
     """Run an ``InstanceSession`` over ``transport`` and raise its ``failure``,
     once its ERROR was sent, best effort.  The caller owns the transport."""
     session = InstanceSession(make_instance)
@@ -538,7 +522,7 @@ def serve_session(transport: Transport, make_instance: Callable[[Init], Any]) ->
         raise session.failure
 
 
-def measure_peak_memory() -> Optional[int]:
+def measure_peak_memory() -> int | None:
     """This process's peak resident set size in bytes, None when the facility is missing."""
     try:
         with open("/proc/self/status") as status:

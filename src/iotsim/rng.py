@@ -8,16 +8,13 @@ a single owner consumes the whole stream in a fixed order: world setup and the
 per-entity mobility walk.
 
 numpy is imported only by the array kernel, so the fine-grained instance,
-which uses the scalar draws alone, does not load it.
+which uses the scalar draws alone, does not load it; the kernel's
+annotations name its arrays ``np.ndarray`` and are never evaluated.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 

@@ -95,6 +95,13 @@ INT_FIELDS = [f.name for f in fields(SimConfig) if f.type == "int"]
         ({"l1_schedule": ((1, 0),)}, "l1_schedule"),
         ({"l1_schedule": ((1, 0, 1, 1),)}, "l1_schedule"),
         ({"l1_schedule": (5,)}, "l1_schedule"),
+        # The other annotated types are checked too; a float field takes an int, but no bool.
+        ({"density": "1e-4"}, "density"),
+        ({"forwarding_threshold": "1"}, "forwarding_threshold"),
+        ({"mobile_fraction": True}, "mobile_fraction"),
+        ({"deliver_once": "false"}, "deliver_once"),
+        ({"deliver_once": 0}, "deliver_once"),
+        ({"l1_transport": 5}, "l1_transport"),
     ],
 )
 def test_validation_rejects_non_integers_for_int_fields(kw, field):

@@ -751,6 +751,8 @@ def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
     # Nor the environment's start-up: ``site`` and what its .pth files import
     # would be on the first session's critical path.
     assert not {"site", "certifi"} & imports
+    # Nor class-building machinery that the template has no use for at run time.
+    assert not {"dataclasses", "typing", "inspect", "ast"} & imports
 
 
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---

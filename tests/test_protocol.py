@@ -80,6 +80,13 @@ def test_round_trip_every_message_type():
     ]
     for msg in messages:
         assert decode(encode(msg)) == msg
+    # A message equals only a message of its own type, whatever its fields hold.
+    assert Hello(1) != Continue(1) and Continue(1) != Hello(1)
+    assert len({Hello(1), Continue(1), Hello(1)}) == 2
+    # Messages are immutable, nested records and counters included.
+    for msg, field in [(messages[2], "timestep"), (messages[3].entities[0], "x"), (messages[5].counters, "rreq")]:
+        with pytest.raises(AttributeError):
+            setattr(msg, field, 5)
 
 
 def test_entity_record_rounds_coordinates():
@@ -279,6 +286,42 @@ def test_transcripts_log_both_directions(pair):
     a.recv_line()
     assert log_a == [("send", b"x\n"), ("recv", b"y\n")]
     assert log_b == [("recv", b"x\n"), ("send", b"y\n")]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "one-over"])
+def test_a_line_longer_than_max_line_fails_the_step(pair, monkeypatch, extra):
+    monkeypatch.setattr(protocol, "MAX_LINE", 1024)
+    client_t, server_t = pair()
+    server_t.send_line(encode(Hello()))
+    reply = StepResult(0, (), Counters())
+    line = encode(reply)
+    server_t.send_line(line[:-1] + b" " * (1024 + extra - len(line)) + b"\n")  # LF included
+    client = SessionClient(client_t)
+    client.handshake(_sample_init(n=0))
+    if not extra:
+        assert client.step(0) == reply
+        return
+    with pytest.raises(ProtocolError) as excinfo:
+        client.step(0)
+    assert excinfo.value.code == "line-too-long"
+
+
+def test_serve_session_refuses_a_line_longer_than_max_line(pair, monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_LINE", 1024)
+    client_t, server_t = pair()
+    line = encode(_sample_init())
+    client_t.send_line(line[:-1] + b" " * (1025 - len(line)) + b"\n")
+    with pytest.raises(ProtocolError) as excinfo:
+        serve_session(server_t, _echo_handlers)
+    assert excinfo.value.code == "line-too-long"
+
+
+def test_max_line_holds_the_final_of_100k_widest_records():
+    # Ids past any cohort, coordinates just below 1e7 with all 6 fractional digits.
+    records = tuple(
+        EntityRecord(10**9 + i, -9999999.123457, -9999999.123457, "static", False, 10**6) for i in range(100_000)
+    )
+    assert len(encode(Final(records, Counters()))) <= protocol.MAX_LINE
 
 
 # -- session state machine ------------------------------------------------------
