@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ class Entity:
     kind: str
     cache: MessageCache
     mobility: Optional[RwpState] = None
-    mob_rng: Optional[random.Random] = None
+    mob_rng: Optional[rng.ReplayStream] = None
     next_seq: int = 0
 
 
@@ -41,7 +40,9 @@ def make_entities(config: SimConfig, world: ToroidalWorld) -> list[Entity]:
 
     Placement and mobility assignment come from a single setup stream
     consumed in id order; each walker then owns a private stream keyed by its
-    id, so later draws never depend on what other entities did.
+    id, so later draws never depend on what other entities did.  The walker's
+    first leg is drawn here, from a generator that is then dropped: the
+    entity keeps only the stream's seed and draw count.
     """
     setup = rng.substream(config.seed, rng.SETUP)
     ids = list(range(config.num_ses))
@@ -52,7 +53,7 @@ def make_entities(config: SimConfig, world: ToroidalWorld) -> list[Entity]:
     for eid in ids:
         x, y = positions[eid]
         if eid in mobile_ids:
-            stream = rng.substream(config.seed, rng.MOBILITY, eid)
+            stream = rng.ReplayStream(rng.mix(config.seed, rng.MOBILITY, eid))
             state = initial_rwp_state(world, config.speed_min, config.speed_max, stream)
             entities.append(Entity(eid, x, y, KIND_MOBILE, make_cache(config), state, stream))
         else:

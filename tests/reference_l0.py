@@ -6,9 +6,9 @@ Each receiver keeps its own ``OrderedDict`` LRU.  The disc test, the
 distance and the coins are the engine's expressions evaluated one scalar at
 a time, so the two must agree bit for bit.
 
-The reference shares only setup with the engine (``make_entities``, the
-``rng`` keys and ``rwp_step``); it never calls the engine's cache, relay or
-delivery code.
+The reference shares only setup with the engine (``make_entities``, which
+gives each walker its ``rng.ReplayStream``, the ``rng`` keys and
+``rwp_step``); it never calls the engine's cache, relay or delivery code.
 """
 
 from __future__ import annotations

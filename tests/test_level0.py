@@ -485,6 +485,21 @@ def test_nothing_outlives_a_tcp_run(monkeypatch, outcome):
     assert len(seen["pids"]) == 2 and all(_gone(pid) for pid in seen["pids"])
 
 
+def test_an_over_long_step_result_aborts_the_run_and_nothing_outlives_it(monkeypatch):
+    seen = _watch_template(monkeypatch)
+    # Only the engine's reader is bounded: HELLO (30 bytes) fits, and the
+    # child's STEP_RESULT, with two entities and its counters, does not.
+    monkeypatch.setattr(protocol, "MAX_LINE", 64)
+    started = time.perf_counter()
+    with pytest.raises(SimulationError, match="t0-lp0-0.*line-too-long"):
+        run_simulation(_TCP_RUN)
+    assert time.perf_counter() - started < 5.0
+    (template,) = seen["templates"]
+    assert template.returncode is not None
+    (pid,) = seen["pids"]
+    assert _gone(pid)
+
+
 def test_a_template_that_dies_at_boot_names_its_exit_status(monkeypatch):
     real_popen = subprocess.Popen
 
