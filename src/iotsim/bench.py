@@ -4,26 +4,24 @@ A sweep varies one axis (any option but the seed and the schedule, or the
 number of fine-grained activations) over a list of values, repeats each cell
 with derived sub-seeds, and emits one CSV row per value with means and
 standard deviations.  Peak memory is the process high-water mark, so honest
-per-run numbers require a fresh process per run; sweep mode therefore shells
-out to ``iotsim simulate`` by default, while in-process mode exists for tests
-and quick looks, and reports no memory.
+per-run numbers require a fresh process per run: every repetition is an
+``iotsim simulate`` child given its config as ``--option=value`` flags.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from . import rng
 from .config import OPTIONS, ConfigError, SimConfig, SpawnTrigger, config_to_file_text
-from .level0 import RunResult, run_simulation
+from .level0 import _PACKAGE_ROOT, RunResult
 from .protocol import measure_peak_memory  # noqa: F401 - the CLI and perfbench call bench.measure_peak_memory
 
 
@@ -99,6 +97,8 @@ def collect_metrics(result: RunResult, peak_rss_l0: Optional[int]) -> RunMetrics
 
 def sequential_schedule(activations: int, total_timesteps: int) -> tuple[SpawnTrigger, ...]:
     """Evenly spaced single-entity triggers on LP 0, one session at a time."""
+    if activations < 0:
+        raise ConfigError("activations must be >= 0")
     if activations == 0:
         return ()
     if activations >= total_timesteps:
@@ -149,21 +149,19 @@ class ExperimentPlan:
 
 
 def _run_in_subprocess(config: SimConfig) -> RunMetrics:
-    """Fresh interpreter per run: per-run VmHWM numbers mean something."""
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as handle:
-        handle.write(config_to_file_text(config))
-        cfg_path = handle.name
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "iotsim", "simulate", "--config", cfg_path, "--json-metrics", "-"],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"simulate failed ({proc.returncode}): {proc.stderr.strip()}")
-        return RunMetrics.from_json_obj(json.loads(proc.stdout))
-    finally:
-        Path(cfg_path).unlink(missing_ok=True)
+    """Fresh interpreter per run, so per-run VmHWM numbers mean something; it gets
+    this ``iotsim``'s root, which the parent may have found through sys.path alone."""
+    flags = [f"--{line}" for line in config_to_file_text(config).splitlines()]
+    path = os.pathsep.join(p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "iotsim", "simulate", *flags, "--json-metrics", "-"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"simulate failed ({proc.returncode}): {proc.stderr.strip()}")
+    return RunMetrics.from_json_obj(json.loads(proc.stdout))
 
 
 CSV_COLUMNS = [
@@ -234,9 +232,7 @@ def _row_for(plan: ExperimentPlan, value, metrics: list[RunMetrics], failures: i
     return row
 
 
-def run_experiment(
-    plan: ExperimentPlan, out_path: Optional[str] = None, in_process: bool = False
-) -> list[dict]:
+def run_experiment(plan: ExperimentPlan) -> list[dict]:
     """One row per sweep value; failed repetitions are noted, never fatal."""
     rows = []
     for value in plan.values:
@@ -245,17 +241,11 @@ def run_experiment(
         for rep in range(plan.repetitions):
             config = plan.config_for(value, rep)
             try:
-                if in_process:
-                    # The process's peak covers every earlier run: no per-run memory.
-                    metrics.append(collect_metrics(run_simulation(config), None))
-                else:
-                    metrics.append(_run_in_subprocess(config))
+                metrics.append(_run_in_subprocess(config))
             except Exception as exc:
                 failures += 1
                 print(f"run failed: axis={plan.axis} value={value} rep={rep}: {exc}", file=sys.stderr)
         rows.append(_row_for(plan, value, metrics, failures))
-    if out_path is not None:
-        write_csv(rows, out_path)
     return rows
 
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bench import SWEEP_OPTIONS, ExperimentPlan, collect_metrics, measure_peak_memory, run_experiment
+from .bench import SWEEP_OPTIONS, ExperimentPlan, collect_metrics, measure_peak_memory, run_experiment, write_csv
 from .config import OPTIONS, ConfigError, SimConfig, parse_option, read_config_file, read_key_values
 from .level0 import SimulationError, run_simulation
 from .protocol import ProtocolError
@@ -116,10 +116,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-_PLAN_KEYS = ("axis", "values", "reps", "mode")
+_PLAN_KEYS = ("axis", "values", "reps")
 
 
-def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
+def read_plan_file(path: str) -> ExperimentPlan:
     """Parse an experiment plan: plan keys plus base-config overrides."""
     plan: dict[str, tuple[str, str]] = {}
     config_updates: dict[str, object] = {}
@@ -147,24 +147,20 @@ def read_plan_file(path: str) -> tuple[ExperimentPlan, bool]:
             raise ValueError("reps must be >= 1")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    mode, where = plan.get("mode", ("subprocess", path))
-    if mode not in ("subprocess", "in-process"):
-        raise ConfigError(f"{where}: mode must be subprocess or in-process")
     config_updates.setdefault("total_timesteps", SWEEP_DEFAULT_TIMESTEPS)
     try:
         base = SimConfig(**config_updates)
     except ConfigError as exc:  # a check across the base settings' fields
         raise ConfigError(f"{path}: {exc}") from None
     try:
-        experiment = ExperimentPlan(SWEEP_OPTIONS[name][0], values, reps, base)
+        return ExperimentPlan(SWEEP_OPTIONS[name][0], values, reps, base)
     except ConfigError as exc:  # the axis and reps are checked above: a bad value
         raise ConfigError(f"{values_at}: {exc}") from None
-    return experiment, mode == "in-process"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    plan, in_process = read_plan_file(args.plan)
-    rows = run_experiment(plan, out_path=args.out, in_process=in_process)
+    rows = run_experiment(read_plan_file(args.plan))
+    write_csv(rows, args.out)
     failed = [r for r in rows if r["status"] == "failed"]
     if failed:
         print(f"{len(failed)} of {len(rows)} sweep points failed", file=sys.stderr)
@@ -187,8 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="run an experiment plan")
-    p_sweep.add_argument("plan", help="plan file: axis=, values=, reps=, mode=, plus config keys")
+    p_sweep = sub.add_parser(
+        "sweep",
+        help="run an experiment plan",
+        description="Run an experiment plan, each repetition a fresh 'iotsim simulate' child.",
+    )
+    p_sweep.add_argument("plan", help="plan file: axis=, values=, reps=, plus config keys")
     p_sweep.add_argument("--out", default="-", metavar="CSV", help="output table ('-' = stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser

@@ -202,7 +202,8 @@ def parse_option(name: str, text: str, source: str, options: dict = OPTIONS) -> 
 
 def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
     """Yield (key, value, "path:line") per key=value line; blank lines and
-    #-comments are skipped."""
+    #-comments are skipped, and a key given twice is refused."""
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -210,7 +211,11 @@ def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        yield key.strip(), value.strip(), f"{path}:{lineno}"
+        key = key.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already given on line {seen[key]}")
+        seen[key] = lineno
+        yield key, value.strip(), f"{path}:{lineno}"
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:

@@ -76,7 +76,8 @@ REGION_TOL = 1e-5
 # Fewest join candidates per deliver chunk: below it, a small world pays each
 # chunk's fixed numpy calls many times over for few receipts.
 JOIN_CHUNK_FLOOR = 4096
-# The directory holding this ``iotsim`` package: the session template's only import path.
+# The directory holding this ``iotsim`` package: the session template's only import
+# path, and the first one of each sweep child's (see ``bench._run_in_subprocess``).
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

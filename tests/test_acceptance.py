@@ -441,7 +441,7 @@ def test_c10_activations_only_add_time(verdicts):
     plan = ExperimentPlan(
         axis="num_l1_activations", values=(0, 1, 2, 4, 8), repetitions=3, base=base
     )
-    rows = run_experiment(plan, in_process=False)
+    rows = run_experiment(plan)
     elapsed = time.monotonic() - t0
 
     all_ok = all(r["status"] == "ok" for r in rows)

@@ -3,7 +3,9 @@
 import csv
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from iotsim.bench import (
     measure_peak_memory,
     run_experiment,
     sequential_schedule,
+    write_csv,
 )
 from iotsim.cli import main, read_plan_file
 from iotsim.config import ConfigError, SimConfig, SpawnTrigger
@@ -94,6 +97,8 @@ def test_sequential_schedule_spreads_triggers():
     assert all(t.lp_id == 0 and t.entity_count == 1 for t in triggers)
     with pytest.raises(ConfigError):
         sequential_schedule(100, 100)
+    with pytest.raises(ConfigError, match="^activations must be >= 0$"):
+        sequential_schedule(-2, 10)
 
 
 # -- experiment plans ----------------------------------------------------------------
@@ -133,10 +138,11 @@ def test_plan_applies_axis_and_derives_sub_seeds():
     assert len(act_plan.config_for(3, rep=0).l1_schedule) == 3
 
 
-def test_in_process_sweep_rows_and_determinism():
+def test_sweep_rows_and_determinism():
+    # Each repetition is a child given its config as flags: it computes what
+    # an in-process run of the same config does.
     plan = ExperimentPlan(axis="num_ses", values=(10, 20), repetitions=2, base=_mini())
-    rows = run_experiment(plan, in_process=True)
-    again = run_experiment(plan, in_process=True)
+    rows = run_experiment(plan)
     assert len(rows) == 2
     for row, value in zip(rows, (10, 20)):
         assert row["axis"] == "num_ses"
@@ -144,51 +150,76 @@ def test_in_process_sweep_rows_and_determinism():
         assert row["status"] == "ok"
         assert row["reps_ok"] == 2 and row["reps_failed"] == 0
         assert row["num_ses"] == value
-    # Sub-seeds are fixed by the plan, so counter statistics reproduce exactly.
-    for a, b in zip(rows, again):
-        for col in ("generated_mean", "delivered_mean", "forwarded_mean", "duplicates_mean"):
-            assert a[col] == b[col]
+        totals = [run_simulation(plan.config_for(value, rep)).totals() for rep in range(2)]
+        for counter in ("generated", "delivered", "forwarded", "duplicates"):
+            assert row[f"{counter}_mean"] == sum(t[counter] for t in totals) / 2
 
 
-def test_in_process_sweep_reports_no_memory(tmp_path):
-    # The process's peak would cover every earlier run, so the column stays empty.
+def test_sweep_reports_each_runs_peak_memory(tmp_path):
+    if measure_peak_memory() is None:
+        pytest.skip("no peak-RSS facility on this host")
     plan = ExperimentPlan(axis="num_ses", values=(10, 20), repetitions=1, base=_mini())
     out = tmp_path / "sweep.csv"
-    run_experiment(plan, out_path=str(out), in_process=True)
+    write_csv(run_experiment(plan), str(out))
     with out.open(newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [r["status"] for r in rows] == ["ok", "ok"]
-    assert all(r["peak_rss_l0_mean"] == r["peak_rss_l0_std"] == "" for r in rows)
+    assert all(float(r["peak_rss_l0_mean"]) > 0 for r in rows)
 
 
-def test_in_process_sweep_over_a_float_option(tmp_path):
+def test_sweep_over_a_float_option(tmp_path):
     path = tmp_path / "plan.txt"
-    path.write_text(
-        "axis=gen-prob\nvalues=0.01,0.02\nreps=1\nmode=in-process\n"
-        "ses=10\ndensity=1e-3\ntimesteps=3\n"
-    )
-    plan, in_process = read_plan_file(str(path))
+    path.write_text("axis=gen-prob\nvalues=0.01,0.02\nreps=1\nses=10\ndensity=1e-3\ntimesteps=3\n")
+    plan = read_plan_file(str(path))
     assert (plan.axis, plan.values) == ("generation_prob", (0.01, 0.02))
-    rows = run_experiment(plan, in_process=in_process)
+    rows = run_experiment(plan)
     assert [(r["axis"], r["value"], r["status"]) for r in rows] == [
         ("generation_prob", 0.01, "ok"),
         ("generation_prob", 0.02, "ok"),
     ]
 
 
+_PATHLESS_SWEEP = """
+import sys
+sys.path.insert(0, {root!r})
+from iotsim.bench import ExperimentPlan, run_experiment
+from iotsim.config import SimConfig
+
+base = SimConfig(num_ses=10, density=1e-3, total_timesteps=3, seed=5)
+(row,) = run_experiment(ExperimentPlan("num_ses", (10,), 1, base))
+print(row["status"])
+"""
+
+
+def test_sweep_children_run_when_iotsim_is_on_no_inherited_path(tmp_path):
+    # The sweeping process finds iotsim through sys.path alone: its children
+    # cannot inherit that, so they must be given the package's root.
+    root = str(Path(bench.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", _PATHLESS_SWEEP.format(root=root)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok"], done.stderr
+
+
 def test_sweep_notes_failed_repetitions_and_continues(monkeypatch, capsys):
     calls = {"n": 0}
-    real = bench.run_simulation
 
     def flaky(config):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("synthetic crash")
-        return real(config)
+        return collect_metrics(run_simulation(config), None)
 
-    monkeypatch.setattr(bench, "run_simulation", flaky)
+    monkeypatch.setattr(bench, "_run_in_subprocess", flaky)
     plan = ExperimentPlan(axis="num_ses", values=(10, 20), repetitions=2, base=_mini())
-    rows = run_experiment(plan, in_process=True)
+    rows = run_experiment(plan)
     assert [r["status"] for r in rows] == ["partial", "ok"]
     assert rows[0]["reps_ok"] == 1 and rows[0]["reps_failed"] == 1
     assert "synthetic crash" in capsys.readouterr().err
@@ -197,7 +228,7 @@ def test_sweep_notes_failed_repetitions_and_continues(monkeypatch, capsys):
 def test_write_csv_covers_all_rows(tmp_path):
     plan = ExperimentPlan(axis="num_ses", values=(10,), repetitions=1, base=_mini())
     out = tmp_path / "sweep.csv"
-    run_experiment(plan, out_path=str(out), in_process=True)
+    write_csv(run_experiment(plan), str(out))
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("axis,value,status,")
     assert len(lines) == 2
@@ -214,16 +245,14 @@ def test_read_plan_file(tmp_path):
         "axis=ses\n"
         "values=10,20\n"
         "reps=2\n"
-        "mode=in-process\n"
         "gen-prob=0.05\n"
         "transport=loopback\n"
         "seed=13\n"
     )
-    plan, in_process = read_plan_file(str(path))
+    plan = read_plan_file(str(path))
     assert plan.axis == "num_ses"
     assert plan.values == (10, 20)
     assert plan.repetitions == 2
-    assert in_process is True
     assert plan.base.generation_prob == 0.05
     # Sweeps default to a short reference run unless the plan says otherwise.
     assert plan.base.total_timesteps == 100
@@ -240,7 +269,7 @@ def test_plan_axis_is_an_option_or_field_name(tmp_path):
         ("num_l1_activations", "1", "num_l1_activations", (1,)),
     ):
         path.write_text(f"axis={axis}\nvalues={values_text}\n")
-        plan, _ = read_plan_file(str(path))
+        plan = read_plan_file(str(path))
         assert (plan.axis, plan.values) == (field, values)
 
 
@@ -250,8 +279,9 @@ def test_read_plan_file_rejects_bad_input(tmp_path):
     for text, where, match in (
         ("values=1,2\n", "", "plan needs at least axis= and values="),
         ("axis=warp\nvalues=1\n", ":1", "cannot sweep 'warp'"),
-        ("axis=ses\nvalues=1\nmode=psychic\n", ":3", "mode must be"),
         ("axis=ses\nvalues=1\nnot-an-option=3\n", ":3", "unknown option"),
+        # A plan has no mode: every repetition runs in a child.
+        ("axis=ses\nvalues=1\nmode=in-process\n", ":3", "unknown option 'mode'"),
         ("axis=ses\nvalues=1\nreps=two\n", ":3", "invalid literal"),
         ("axis=ses\nvalues=8,1.5\n", ":2", "invalid literal"),
         ("axis=ses\nvalues=8\nses=abc\n", ":3", "invalid literal"),
@@ -264,6 +294,10 @@ def test_read_plan_file_rejects_bad_input(tmp_path):
         ("axis=ses\nvalues=10,10\n", ":2", "value 10 is listed more than once"),
         # Checks that need the whole config still name the values= line.
         ("axis=lps\nvalues=1,0\n", ":2", "num_lps must be >= 1"),
+        ("axis=l1-activations\nvalues=0,-1,-2\n", ":2", "activations must be >= 0"),
+        # A key given twice is refused, not last-wins.
+        ("axis=ses\nvalues=10\nvalues=20\n", ":3", "'values' is already given on line 2"),
+        ("axis=ses\nvalues=10\nseed=1\n\nseed=2\n", ":5", "'seed' is already given on line 3"),
         # A check across the base settings' fields names the plan.
         ("axis=ses\nvalues=10,20\nlps=0\n", "", "num_lps must be >= 1"),
     ):
@@ -337,11 +371,11 @@ def test_cli_rejects_non_finite_values(capsys, flag, value, message):
 def test_bad_value_exits_2_naming_its_source(tmp_path, capsys, how):
     cfg, plan = tmp_path / "run.cfg", tmp_path / "run.plan"
     cfg.write_text("timesteps=3\ndeliver-once=maybe\n")
-    plan.write_text("axis=ses\nvalues=8\nmode=in-process\ndeliver-once=maybe\n")
+    plan.write_text("axis=ses\nvalues=8\ndeliver-once=maybe\n")
     argv, source = {
         "flag": (["simulate", "--timesteps", "3", "--deliver-once", "maybe"], "--deliver-once"),
         "config": (["simulate", "--config", str(cfg)], f"{cfg}:2"),
-        "plan": (["sweep", str(plan), "--out", str(tmp_path / "rows.csv")], f"{plan}:4"),
+        "plan": (["sweep", str(plan), "--out", str(tmp_path / "rows.csv")], f"{plan}:3"),
     }[how]
     assert main(argv) == 2
     assert f"config error: {source}: bad boolean 'maybe'" in capsys.readouterr().err
@@ -370,7 +404,7 @@ def test_cli_simulate_with_config_file_and_override(tmp_path, capsys):
 def test_cli_sweep_runs_plan(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text(
-        "axis=ses\nvalues=8,12\nreps=1\nmode=in-process\n"
+        "axis=ses\nvalues=8,12\nreps=1\n"
         "timesteps=3\ngen-prob=0.1\nseed=6\n"
     )
     out_csv = tmp_path / "rows.csv"

@@ -1,10 +1,14 @@
 """Configuration defaults, validation, and the key=value file format."""
 
 import math
+import subprocess
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
+from iotsim import bench
+from iotsim.cli import _config_from_args, build_parser
 from iotsim.config import (
     OPTIONS,
     ConfigError,
@@ -139,21 +143,39 @@ def test_options_cover_every_field():
     assert mapped == {f.name for f in fields(SimConfig)}
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = SimConfig(
-        num_ses=64,
-        mobile_fraction=0.25,
-        total_timesteps=12,
-        deliver_once=True,
-        num_lps=2,
-        l1_schedule=(SpawnTrigger(3, 1, 2), SpawnTrigger(7, 0, 1)),
-        l1_transport="loopback",
-        seed=99,
-    )
+def test_config_file_round_trip(tmp_path, monkeypatch):
+    # A sweep child is given its config as flags: they must round-trip too.
+    argv = []
+
+    def capture(cmd, **kw):
+        argv[:] = cmd
+        return subprocess.CompletedProcess(cmd, 1, "", "captured")
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=capture))
     path = tmp_path / "run.cfg"
-    path.write_text(config_to_file_text(cfg))
-    updates = read_config_file(path)
-    assert SimConfig(**updates) == cfg
+    for cfg in (
+        SimConfig(
+            num_ses=64,
+            mobile_fraction=0.25,
+            total_timesteps=12,
+            deliver_once=True,
+            num_lps=2,
+            l1_schedule=(SpawnTrigger(3, 1, 2), SpawnTrigger(7, 0, 1)),
+            l1_transport="loopback",
+            seed=99,
+        ),
+        SimConfig(density=1e-05, seed=-3),
+    ):
+        path.write_text(config_to_file_text(cfg))
+        updates = read_config_file(path)
+        assert SimConfig(**updates) == cfg
+
+        with pytest.raises(RuntimeError, match="captured"):
+            bench._run_in_subprocess(cfg)
+        assert argv[1:4] == ["-m", "iotsim", "simulate"]
+        args = build_parser().parse_args(argv[3:])
+        assert _config_from_args(args) == cfg
+    assert "--density=1e-05" in argv and "--seed=-3" in argv and "--l1-schedule=" in argv
 
 
 def test_config_file_comments_and_errors(tmp_path):
@@ -172,6 +194,11 @@ def test_config_file_comments_and_errors(tmp_path):
 
     path.write_text("ses=abc\n")
     with pytest.raises(ConfigError):
+        read_config_file(path)
+
+    # A key given twice is refused, naming both lines, not read last-wins.
+    path.write_text("ses=10\n# again\nses=20\n")
+    with pytest.raises(ConfigError, match="run.cfg:3: 'ses' is already given on line 1$"):
         read_config_file(path)
 
 
