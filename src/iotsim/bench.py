@@ -10,11 +10,9 @@ per-run numbers require a fresh process per run: every repetition is an
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import statistics
-import subprocess
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -151,6 +149,8 @@ class ExperimentPlan:
 def _run_in_subprocess(config: SimConfig) -> RunMetrics:
     """Fresh interpreter per run, so per-run VmHWM numbers mean something; it gets
     this ``iotsim``'s root, which the parent may have found through sys.path alone."""
+    import subprocess  # here, not at the top: only sweeps spawn children
+
     flags = [f"--{line}" for line in config_to_file_text(config).splitlines()]
     path = os.pathsep.join(p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -250,6 +250,8 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
 
 
 def write_csv(rows: list[dict], out_path: str) -> None:
+    import csv
+
     target = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
     try:
         writer = csv.DictWriter(target, fieldnames=CSV_COLUMNS, restval="")

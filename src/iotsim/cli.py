@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -57,6 +56,8 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _write_report_csv(result, out_path: str) -> None:
+    import csv  # here, not at the top: only runs given --out load it
+
     columns = [
         "timestep",
         "generated",
@@ -139,7 +140,10 @@ def read_plan_file(path: str) -> ExperimentPlan:
             "other than seed and l1-schedule, or l1-activations"
         )
     text, values_at = plan["values"]
-    values = tuple(parse_option(name, v, values_at, SWEEP_OPTIONS)[1] for v in text.split(",") if v.strip())
+    entries = text.split(",")
+    if not all(v.strip() for v in entries):
+        raise ConfigError(f"{values_at}: values= has an empty entry: {text!r}")
+    values = tuple(parse_option(name, v, values_at, SWEEP_OPTIONS)[1] for v in entries)
     reps_text, where = plan.get("reps", ("3", path))
     try:
         reps = int(reps_text)

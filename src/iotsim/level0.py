@@ -39,16 +39,13 @@ receipts in the order of (message id, sender).
 from __future__ import annotations
 
 import os
-import signal
-import socket
-import subprocess
 import sys
 import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
 import numpy as np
 
@@ -70,6 +67,9 @@ from .protocol import (
     serve_session,  # unused here: until ROADMAP item 1, perfbench's tracer wraps it by this name
 )
 from .world import ToroidalWorld
+
+if TYPE_CHECKING:
+    import socket
 
 # Slack for 6-decimal wire rounding when validating reintegrated positions.
 REGION_TOL = 1e-5
@@ -238,6 +238,11 @@ class SimEngine:
         self.triggers: dict[tuple[int, int], list[SpawnTrigger]] = {}
         for trig in config.l1_schedule:
             self.triggers.setdefault((trig.at_timestep, trig.lp_id), []).append(trig)
+        if config.l1_transport == "tcp" and self.triggers:
+            # Only TCP runs load these, and they load them here, in set-up,
+            # not when the first session starts its template.
+            import socket  # noqa: F401
+            import subprocess  # noqa: F401
 
         # Transmissions staged for the next deliver, and entities leaving their stripe.
         self._staged: list[_Tx] = []
@@ -595,6 +600,9 @@ class SessionTemplate:
     """
 
     def __init__(self) -> None:
+        import socket
+        import subprocess
+
         self._control, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         with theirs:
             self.proc = subprocess.Popen(
@@ -612,6 +620,8 @@ class SessionTemplate:
         engine's end reads EOF once the child is gone.  Returns the child's pid
         and the reader of its remaining report lines.
         """
+        import socket
+
         ours, theirs = socket.socketpair()
         with conn, theirs:
             try:
@@ -636,6 +646,8 @@ class SessionTemplate:
 
     def _gone(self, cause: str) -> SimulationError:
         """The error for a request the template did not serve: its exit status, if it died."""
+        import subprocess
+
         try:
             # Its descriptors close just before it can be reaped; allow for that gap.
             status = self.proc.wait(timeout=1.0)
@@ -645,6 +657,8 @@ class SessionTemplate:
 
     def close(self) -> None:
         """EOF on the control socket: the template kills and reaps what is left, then exits."""
+        import subprocess
+
         self._control.close()
         try:
             self.proc.wait(timeout=protocol.DEFAULT_TIMEOUT)
@@ -660,7 +674,7 @@ def _report_lines(reports: TextIO, waiting_for: str):
     while True:
         try:
             line = reports.readline()
-        except socket.timeout:
+        except TimeoutError:
             raise SimulationError(f"instance {waiting_for} within {protocol.DEFAULT_TIMEOUT:g} s") from None
         if not line:
             return
@@ -671,6 +685,8 @@ def _report_lines(reports: TextIO, waiting_for: str):
 
 def _kill(pid: Optional[int]) -> None:
     """SIGKILL a session child; its parent, the template, reaps it."""
+    import signal
+
     if pid is not None:
         try:
             os.kill(pid, signal.SIGKILL)

@@ -28,8 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import signal
-import socket
 import sys
 from collections import Counter
 
@@ -393,6 +391,9 @@ def serve_forks(control: socket.socket) -> None:
     running is killed, and all are reaped before this returns.  Call it from
     a process with one thread: it forks.
     """
+    import signal
+    import socket
+
     children: set[int] = set()
     try:
         while True:
@@ -432,6 +433,8 @@ def serve_forks(control: socket.socket) -> None:
 
 def _serve_child(channel: int, conn: int, instance_id: str) -> int:
     """One forked child's session on ``conn``, reported on ``channel``; returns its exit status."""
+    import socket
+
     os.dup2(channel, 1)
     os.dup2(channel, 2)
     os.close(channel)
@@ -469,6 +472,10 @@ def _serve_child(channel: int, conn: int, instance_id: str) -> int:
 
 def main() -> None:
     """The template's entry: the engine hands over the control socket as stdin."""
+    # Imported here, not at the top: a loopback session loads this module too.
+    import signal
+    import socket
+
     # An ignored SIGCHLD, inherited across exec, would reap children behind our back.
     signal.signal(signal.SIGCHLD, signal.SIG_DFL)
     serve_forks(socket.socket(fileno=sys.stdin.fileno()))

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import socket
 from collections.abc import Callable
 
 PROTOCOL_VERSION = 1
@@ -313,7 +312,7 @@ class Transport:
         limit = MAX_LINE
         try:
             line = self._reader.readline(limit + 1)
-        except socket.timeout:
+        except TimeoutError:
             raise TransportTimeout() from None
         except OSError as exc:
             raise TransportClosed(f"recv failed: {exc}") from None
@@ -336,6 +335,8 @@ class Transport:
 def connect_tcp(transcript=None) -> tuple[Transport, socket.socket]:
     """A fresh TCP connection on 127.0.0.1: the engine's transport, and the
     server's end for the caller to hand to the instance that serves it."""
+    import socket  # here, not at the top: only TCP runs load it
+
     with socket.socket() as listener:
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)

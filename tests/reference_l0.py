@@ -43,6 +43,7 @@ class ReferenceRun:
     ties: int = 0
 
 
+# An OrderedDict, not the engine's plain-dict LRU: the oracle shares no data structure with what it checks.
 def _touch(cache: OrderedDict, capacity: int | None, msg_id) -> bool:
     """LRU touch: True if ``msg_id`` was cached.  Capacity 0 never hits; None never evicts."""
     if capacity == 0:

@@ -284,6 +284,8 @@ def test_read_plan_file_rejects_bad_input(tmp_path):
         ("axis=ses\nvalues=1\nmode=in-process\n", ":3", "unknown option 'mode'"),
         ("axis=ses\nvalues=1\nreps=two\n", ":3", "invalid literal"),
         ("axis=ses\nvalues=8,1.5\n", ":2", "invalid literal"),
+        # An empty entry is a lost value, not a separator to skip.
+        ("axis=ses\nvalues=10,,20,\n", ":2", "values= has an empty entry"),
         ("axis=ses\nvalues=8\nses=abc\n", ":3", "invalid literal"),
         ("axis=ses\nvalues=8\n\n# a comment\ndeliver-once=maybe\n", ":5", "bad boolean"),
         ("axis=ses\nvalues=8\nl1-schedule=1:0\n", ":3", "bad trigger"),

@@ -3,7 +3,6 @@
 import math
 import subprocess
 from dataclasses import fields
-from types import SimpleNamespace
 
 import pytest
 
@@ -151,7 +150,7 @@ def test_config_file_round_trip(tmp_path, monkeypatch):
         argv[:] = cmd
         return subprocess.CompletedProcess(cmd, 1, "", "captured")
 
-    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=capture))
+    monkeypatch.setattr(subprocess, "run", capture)
     path = tmp_path / "run.cfg"
     for cfg in (
         SimConfig(

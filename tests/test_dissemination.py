@@ -1,6 +1,8 @@
 """Message cache eviction and the gossip forwarding gate."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,24 @@ def test_capacity_bound_holds_under_fill():
 def test_cache_rejects_negative_capacity():
     with pytest.raises(ValueError):
         MessageCache(-1)
+
+
+def test_full_cache_stays_small_under_churn():
+    # Every entity's cache is full in a long run, so its structure bounds how
+    # many entities fit in memory.  The keys exist before tracing starts, so
+    # only the cache's own allocations are counted.
+    draw = random.Random(5)
+    keys = [(draw.randrange(600), 0) for _ in range(20_000)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cache = MessageCache(256)
+        hits = sum(map(cache.touch, keys))
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 256 and 0 < hits < len(keys) - 256  # hits and evictions both
+    assert retained < 24 * 1024
 
 
 def test_generate_message_fields():

@@ -770,6 +770,45 @@ def test_tcp_session_child_loads_no_numpy_and_no_coarse_engine(monkeypatch):
     assert not {"dataclasses", "typing", "inspect", "ast"} & imports
 
 
+_LOADED_BY = """
+import sys
+sys.path.insert(0, {root!r})
+watched = ("socket", "subprocess", "selectors", "signal", "csv")
+before = set(sys.modules)
+import iotsim.level0, iotsim.bench, iotsim.cli
+from iotsim.config import SimConfig, SpawnTrigger
+cfg = SimConfig(
+    num_ses=40,
+    total_timesteps=2,
+    l1_schedule=(SpawnTrigger(0, 0, 2),),
+    l1_fine_steps_per_timestep=50,
+    l1_transport={transport!r},
+    seed=4,
+)
+{action}
+print(" ".join(sorted(m for m in watched if m in sys.modules and m not in before)))
+"""
+
+
+def _loaded_by(transport: str, action: str) -> set[str]:
+    """The watched modules that importing iotsim and then ``action`` load, in a
+    fresh interpreter: this one loaded them long ago."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(level0.__file__)))
+    code = _LOADED_BY.format(root=root, transport=transport, action=action)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_loopback_run_loads_no_socket_subprocess_or_csv():
+    assert _loaded_by("loopback", "assert iotsim.level0.run_simulation(cfg).session_logs") == set()
+
+
+def test_tcp_engine_loads_socket_and_subprocess_when_built():
+    # In set-up, not when the run starts its template: the cost stays out of the run's wall time.
+    assert {"socket", "subprocess"} <= _loaded_by("tcp", "iotsim.level0.SimEngine(cfg)")
+
+
 # -- stripe-count transparency (small here; the big run is an acceptance check) ---
 
 
