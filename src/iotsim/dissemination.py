@@ -102,16 +102,18 @@ def forward_gates(
     seqs: np.ndarray,
     config: SimConfig,
 ) -> np.ndarray:
-    """``should_forward`` for a fresh copy, over a chunk of receipts.
+    """``should_forward`` for a fresh copy, over an array of fresh copies.
 
     Receipt ``k`` carries ``ttls[k]`` hops, was sent from offset
     ``(dx[k], dy[k])`` and went to entity ``receivers[k]``; its message id is
     ``(origins[k], seqs[k])``.  The coin is the stateless draw of (seed,
     FORWARD, receiver, origin, seq), drawn only for the receipts that pass
-    the ttl and distance tests, so each keeps its value however a chunk is
-    cut.  Distance compares squares, except in a narrow band around the
-    threshold, where the receipt goes through ``should_forward`` with
-    ``math.hypot``: the engine and the scalar gate agree on every pair.
+    the ttl and distance tests, and no gate reads cache state, so a receipt
+    gets the same gate in any subset of the receipts: the engine gates only
+    the copies its caches found fresh.  Distance compares squares, except in
+    a narrow band around the threshold, where the receipt goes through
+    ``should_forward`` with ``math.hypot``: the engine and the scalar gate
+    agree on every pair.
     """
     import numpy as np
 
@@ -128,15 +130,11 @@ def forward_gates(
     return gates
 
 
-def relay_step(cache: MessageCache, msg_id: MsgId, may_forward: bool) -> tuple[bool, bool]:
-    """Full receiver-side handling of one incoming copy, whose gate
-    (``forward_gates``) is ``may_forward``.
+def relay_step(cache: MessageCache, msg_id: MsgId) -> bool:
+    """Receiver-side handling of one incoming copy: True if it is a duplicate.
 
-    Returns (duplicate, forward); a copy that is not a duplicate is
-    delivered, and a forwarded copy travels on with one hop less.  The
-    cache is touched exactly once, so an LRU cache observes each receipt in
-    order; a duplicate is never forwarded.
+    The cache is touched exactly once, so an LRU cache observes each receipt
+    in order.  A copy that is not a duplicate is delivered, and only such a
+    fresh copy is gated (``forward_gates``): a duplicate is never forwarded.
     """
-    if cache.touch(msg_id):
-        return True, False
-    return False, may_forward
+    return cache.touch(msg_id)

@@ -10,9 +10,11 @@ runs in fixed phases:
       is received exactly one step after it was emitted, by every live
       entity in its disc, in one canonical order.  One cell-list join of
       the step's transmissions with every entity gives the pairs in that
-      order; they are received in chunks of O(live entities), each with
-      its forward gates (distance, hop budget, coin) computed at once, so
-      a receipt costs one Python call.  Then live entities generate.
+      order; they are received in chunks of O(live entities).  A chunk
+      first touches each receiver's cache, one Python call per receipt,
+      which tells the duplicates apart; then the forward gates (distance,
+      hop budget, coin) of its fresh copies are computed at once.  Then
+      live entities generate.
       Relayed copies and fresh messages are staged for the next step,
   (2) for each LP in id order: step mobility, apply pending reintegrations,
       then stage for migration the entities whose position crossed a stripe
@@ -106,7 +108,7 @@ def stripe_of(entities: list[Entity], world: ToroidalWorld, num_lps: int) -> np.
     stripe.  This is the only stripe formula: seeding and both migration
     phases use it.
     """
-    xs = np.fromiter((e.x for e in entities), dtype=np.float64, count=len(entities))
+    xs = np.fromiter(map(attrgetter("x"), entities), dtype=np.float64, count=len(entities))
     return np.minimum((xs / (world.width / num_lps)).astype(np.int64), num_lps - 1)
 
 
@@ -270,21 +272,22 @@ class SimEngine:
         live = [e for lp in self.lps for e in lp.entities.values()]
         receivers = live + [e for lp in self.lps for e in lp.delegated.values()]
         n_live = len(live)
-        ids = np.fromiter((e.id for e in receivers), dtype=np.int64, count=len(receivers))
+        ids = np.fromiter(map(attrgetter("id"), receivers), dtype=np.int64, count=len(receivers))
         live_ids = ids[:n_live]
         if txs:
-            xs = np.fromiter((e.x for e in receivers), dtype=np.float64, count=len(receivers))
-            ys = np.fromiter((e.y for e in receivers), dtype=np.float64, count=len(receivers))
+            xs = np.fromiter(map(attrgetter("x"), receivers), dtype=np.float64, count=len(receivers))
+            ys = np.fromiter(map(attrgetter("y"), receivers), dtype=np.float64, count=len(receivers))
             msg_ids, senders, ttls, sxs, sys_ = zip(*txs)
             origins, seqs = np.array(msg_ids, dtype=np.int64).T
             senders = np.array(senders, dtype=np.int64)
             ttls = np.array(ttls, dtype=np.int64)
             # Object arrays: a chunk picks its receipts' ids and caches by fancy indexing.
             msg_ids = np.fromiter(msg_ids, dtype=object, count=len(txs))
-            caches = np.fromiter((e.cache for e in live), dtype=object, count=n_live)
+            caches = np.fromiter(map(attrgetter("cache"), live), dtype=object, count=n_live)
             # One cell-list join; its pairs arrive in receipt order, in chunks
             # of O(n_live) candidates.  The gates do not depend on cache
-            # state, so computing a chunk's gates at once changes nothing.
+            # state, so touching a chunk's caches first and then gating its
+            # fresh copies at once changes nothing.
             budget = max(n_live, JOIN_CHUNK_FLOOR)
             chunks = self.world.join(np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, budget)
             for tx, rx, dx, dy in chunks:
@@ -295,17 +298,20 @@ class SimEngine:
                 if not len(keep):
                     continue
                 tx, rx = tx[keep], rx[keep]
-                rids, rx_ttls = ids[rx], ttls[tx]
-                gates = forward_gates(rx_ttls, dx[keep], dy[keep], rids, origins[tx], seqs[tx], cfg)
                 rx_msgs = msg_ids[tx].tolist()
-                # The one Python call per receipt.
-                outcomes = list(map(relay_step, caches[rx].tolist(), rx_msgs, gates.tolist()))
-                # relay_step answers (True, False) for a duplicate and (False, True) for a forward.
-                duplicates = outcomes.count((True, False))
-                part["duplicates"] += duplicates
-                part["delivered"] += len(outcomes) - duplicates
-                forwards = np.fromiter(map(itemgetter(1), outcomes), dtype=bool, count=len(outcomes))
-                fwd_tx, fwd_rx = tx[forwards], rx[forwards]
+                # The one Python call per receipt: it touches the receiver's
+                # cache and answers True for a duplicate.
+                touches = map(relay_step, caches[rx].tolist(), rx_msgs)
+                dups = np.fromiter(touches, dtype=bool, count=len(rx_msgs))
+                self.audit.record_many(rx_msgs, ids[rx], int(ttls[tx].min()))
+                # Only a fresh copy is delivered and may be forwarded, so
+                # only fresh copies are gated, in receipt order.
+                fresh = np.flatnonzero(~dups)
+                part["duplicates"] += len(rx_msgs) - len(fresh)
+                part["delivered"] += len(fresh)
+                keep, tx, rx = keep[fresh], tx[fresh], rx[fresh]
+                gates = forward_gates(ttls[tx], dx[keep], dy[keep], ids[rx], origins[tx], seqs[tx], cfg)
+                fwd_tx, fwd_rx = tx[gates], rx[gates]
                 part["forwarded"] += len(fwd_tx)
                 outgoing.extend(
                     zip(
@@ -316,7 +322,6 @@ class SimEngine:
                         ys[fwd_rx].tolist(),
                     )
                 )
-                self.audit.record_many(rx_msgs, rids, int(rx_ttls.min()))
 
         # Fresh traffic, in id order so staging order is reproducible.
         if cfg.generation_prob > 0:

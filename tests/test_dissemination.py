@@ -105,25 +105,27 @@ def test_certain_gossip_always_forwards_while_travel_remains():
     assert not should_forward(1, cache_hit=False, sender_distance=0.001, random_draw=0.0, config=cfg)
 
 
-def test_relay_step_fresh_copy_is_delivered_and_forwarded():
+def test_relay_step_fresh_copy_is_not_a_duplicate_and_is_cached():
     cache = MessageCache(256)
-    assert relay_step(cache, msg_id=(1, 0), may_forward=True) == (False, True)
+    assert relay_step(cache, msg_id=(1, 0)) is False
     assert (1, 0) in cache
 
 
-def test_relay_step_duplicate_neither_delivers_nor_forwards():
-    cache = MessageCache(256)
-    relay_step(cache, (1, 0), True)
-    # An open gate does not forward a copy the receiver has already seen.
-    assert relay_step(cache, (1, 0), True) == (True, False)
+def test_relay_step_repeat_is_a_duplicate_and_most_recently_used():
+    cache = MessageCache(2)
+    assert relay_step(cache, (1, 0)) is False
+    assert relay_step(cache, (2, 0)) is False
+    # The repeat refreshes (1, 0), so (2, 0) is the next one evicted.
+    assert relay_step(cache, (1, 0)) is True
+    assert relay_step(cache, (3, 0)) is False
+    assert (2, 0) not in cache
+    assert (1, 0) in cache and (3, 0) in cache
 
 
-def test_relay_step_delivery_without_forward():
-    cache = MessageCache(256)
-    # Gate closed (near sender, spent hops or a lost coin): delivered, not forwarded.
-    assert relay_step(cache, (1, 0), False) == (False, False)
-    # The receipt still populated the cache.
-    assert relay_step(cache, (1, 0), True) == (True, False)
+def test_relay_step_without_a_cache_never_finds_a_duplicate():
+    cache = MessageCache(0)
+    assert [relay_step(cache, (1, 0)) for _ in range(3)] == [False, False, False]
+    assert len(cache) == 0
 
 
 def _gate_sample(threshold, seed=5, n=20_000):
@@ -178,3 +180,20 @@ def test_forward_gates_coin_exactly_at_the_probability_does_not_forward():
     gates = forward_gates(*sample, at_coin)
     assert not gates[0]
     assert gates.tolist() == _scalar_gates(*sample, at_coin)
+
+
+def test_forward_gates_of_a_subset_are_that_subset_of_all_gates():
+    # The engine gates only the copies its caches found fresh; a receipt's
+    # gate, coin and band decision alike, must not depend on which other
+    # receipts are gated with it.
+    cfg = SimConfig(forwarding_threshold=37.3, dissemination_prob=0.6, seed=11)
+    sample = _gate_sample(37.3, n=4000)
+    gen = np.random.default_rng(9)
+    # Every other receipt moves anywhere in range; the rest stay in the band.
+    sample[1][::2], sample[2][::2] = gen.uniform(-250.0, 250.0, (2, 2000))
+    whole = forward_gates(*sample, cfg)
+    assert whole.any() and not whole.all()
+    for share in (0.0, 0.01, 0.3, 0.7, 1.0):
+        subset = np.flatnonzero(gen.random(4000) < share)
+        gates = forward_gates(*(col[subset] for col in sample), cfg)
+        assert gates.tolist() == whole[subset].tolist(), share

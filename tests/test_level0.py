@@ -243,6 +243,35 @@ def test_delegation_of_static_entities_leaves_positions_unchanged():
     assert {r.timestep: r.delegated for r in plain.reports} == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
+@pytest.mark.parametrize("capacity", [4, 0])
+def test_only_fresh_copies_are_gated(monkeypatch, capacity):
+    # A duplicate is never forwarded, so the deliver gates fresh copies
+    # alone; with a small cache, evicted ids come back fresh and are gated.
+    cfg = SimConfig(
+        num_ses=300, total_timesteps=6, generation_prob=0.05, num_lps=2, cache_capacity=capacity, seed=17
+    )
+    plain = run_simulation(cfg)
+    gate = level0.forward_gates
+    rows = []
+
+    def counted(ttls, *rest):
+        rows.append(len(ttls))
+        return gate(ttls, *rest)
+
+    monkeypatch.setattr(level0, "forward_gates", counted)
+    gated = run_simulation(cfg)
+    assert gated.fingerprint() == plain.fingerprint()
+    totals = gated.totals()
+    assert sum(rows) == sum(r.delivered for r in gated.reports) == totals["delivered"]
+    assert totals["forwarded"] > 0
+    if capacity:
+        # Evicted ids were delivered again: more than a cache that never fills delivers.
+        roomy = run_simulation(cfg.with_updates(cache_capacity=256)).totals()
+        assert totals["duplicates"] > 0 and totals["delivered"] > roomy["delivered"]
+    else:
+        assert totals["duplicates"] == 0
+
+
 def test_conservation_reported_every_step():
     cfg = SimConfig(
         num_ses=20,

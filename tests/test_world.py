@@ -151,8 +151,10 @@ def _join_case(rng, trial):
     """A world, centres and points that hit the join's edge cases."""
     world = ToroidalWorld(float(rng.randrange(20, 200)), float(rng.randrange(20, 200)))
     w, h = world.width, world.height
-    # Cell sides that do not divide the world, fewer than 3 cells, R >= side, R = inf.
-    radius = [rng.uniform(1.0, 20.0), rng.uniform(w / 3, w), max(w, h) + rng.uniform(0, 5), math.inf][trial % 4]
+    # Cell sides that do not divide the world, fewer than 5 cells (3-4 along
+    # x when trial % 8 == 5, which fall back to one), R >= side, R = inf.
+    few = rng.uniform(w / 3, w) if trial % 8 == 1 else rng.uniform(0.41 * w, 0.66 * w)
+    radius = [rng.uniform(1.0, 20.0), few, max(w, h) + rng.uniform(0, 5), math.inf][trial % 4]
     if trial % 8 == 0:
         radius = float(rng.randrange(5, 15, 5))  # integral, so 3-4-5 offsets are exact
     cxs, cys, xs, ys = [], [], [], []
@@ -212,15 +214,24 @@ def test_join_chunks_concatenate_to_one_join():
 
 
 def test_join_keeps_pairs_at_exactly_r_across_cell_edges():
-    # Sides that are whole multiples of R would give cells exactly R wide;
-    # centres a few ulps either side of such a cell edge, with points exactly
-    # R away, catch a cell list that lets rounding put a pair two cells apart.
-    for side, radius in [(100.0, 10.0), (100.0, 100.0 / 7), (3.0, 0.1), (64.0, 8.0)]:
+    # Sides that are whole multiples of R/2 would give cells exactly R/2
+    # wide; centres a few ulps either side of such a cell edge, with points
+    # exactly R away, catch a cell list that lets rounding put a pair three
+    # cells apart.  Some sides are odd multiples of R/2.
+    for side, radius in [
+        (100.0, 10.0),
+        (100.0, 100.0 / 7),
+        (3.0, 0.1),
+        (64.0, 8.0),
+        (100.0, 40.0),
+        (30.0, 4.0),
+        (6.0, 4.0),
+    ]:
         world = ToroidalWorld(side, side)
         cxs, cys, xs, ys = [], [], [], []
-        for k in range(int(side / radius)):
+        for k in range(int(2 * side / radius)):
             for ulps in range(-3, 4):
-                c = k * radius
+                c = k * radius / 2
                 for _ in range(abs(ulps)):
                     c = math.nextafter(c, math.copysign(math.inf, ulps))
                 c = world.wrap(c, 0.5)[0]
