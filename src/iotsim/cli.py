@@ -93,6 +93,8 @@ def _write_report_csv(result, out_path: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.out == "-" and args.json_metrics == "-":
+        raise ConfigError("--out - and --json-metrics - would both write to stdout; give one a file")
     config = _config_from_args(args)
     result = run_simulation(config)
     metrics = collect_metrics(result, measure_peak_memory())
@@ -110,7 +112,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"ok ses={config.num_ses} lps={config.num_lps} steps={config.total_timesteps} "
             f"seed={config.seed} wct={metrics.total_wct:.3f}s "
             f"generated={totals['generated']} delivered={totals['delivered']} "
-            f"l1_sessions={len(result.session_logs)}"
+            f"l1_sessions={len(result.session_logs)}",
+            file=sys.stderr if args.out == "-" else sys.stdout,  # stdout holds only the CSV
         )
     return 0
 

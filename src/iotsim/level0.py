@@ -9,22 +9,24 @@ runs in fixed phases:
   (1) deliver, once for the whole world: every transmission staged last step
       is received exactly one step after it was emitted, by every live
       entity in its disc, in one canonical order.  One cell-list join of
-      the step's transmissions with every entity gives the pairs in that
-      order; they are received in chunks of O(live entities).  A chunk
-      first touches each receiver's cache, one Python call per receipt,
-      which tells the duplicates apart; then the forward gates (distance,
-      hop budget, coin) of its fresh copies are computed at once.  Then
-      live entities generate.
+      the step's transmissions with every entity, in id order, gives the
+      pairs in that order; they are received in chunks of O(entities).  A
+      hit on a frozen (delegated) entity counts as ``dropped_delegated``.
+      A chunk first touches each receiver's cache, one Python call per
+      receipt, which tells the duplicates apart; then the forward gates
+      (distance, hop budget, coin) of its fresh copies are computed at
+      once.  Then live entities generate.
       Relayed copies and fresh messages are staged for the next step,
-  (2) for each LP in id order: step mobility, apply pending reintegrations,
-      then stage for migration the entities whose position crossed a stripe
-      boundary,
-  (3) hand each migrating entity to the LP of its new stripe,
+  (2) for each LP in id order: step mobility, then stage for migration the
+      entities whose position crossed a stripe boundary,
+  (3) unfreeze the entities back from last step's sessions at their new
+      positions, then hand them and each migrating entity to the LP of
+      its stripe,
   (4) process this step's spawn triggers: delegate entities and drive each
       fine-grained session to completion.  A session's FINAL is checked
       where the session ends: its ids by the session client, its positions
       against the LP's stripe here; the entities stay frozen where they were
-      until the next step reintegrates them.  Sessions run on the stepping
+      until the next migrate-in returns them.  Sessions run on the stepping
       thread, in LP order, except when two or more LPs have TCP sessions
       at the step: then each such LP runs its sessions on a thread of its
       own, so their children compute in parallel; all are joined before
@@ -95,7 +97,6 @@ class LogicalProcess:
     x0: float
     x1: float
     entities: dict[int, Entity] = field(default_factory=dict)
-    delegated: dict[int, Entity] = field(default_factory=dict)
     # Entities back from this step's sessions, with their checked world positions.
     pending_reint: list[tuple[Entity, float, float]] = field(default_factory=list)
 
@@ -235,8 +236,12 @@ class SimEngine:
         self.config = config
         self.world = config.make_world()
         self.keep_transcripts = keep_transcripts
-        entities = make_entities(config, self.world)
-        self.lps = partition(config, entities, self.world)
+        # The one entity table: entity ``i`` has id ``i``; its cache never
+        # changes identity, and ``frozen[i]`` is set while it is delegated.
+        self.entities = make_entities(config, self.world)
+        self.caches = np.fromiter((e.cache for e in self.entities), dtype=object, count=config.num_ses)
+        self.frozen = np.zeros(config.num_ses, dtype=bool)
+        self.lps = partition(config, self.entities, self.world)
         self.triggers: dict[tuple[int, int], list[SpawnTrigger]] = {}
         for trig in config.l1_schedule:
             self.triggers.setdefault((trig.at_timestep, trig.lp_id), []).append(trig)
@@ -260,63 +265,59 @@ class SimEngine:
         """Step ``t``'s one deliver: receive last step's transmissions, then
         generate; relayed copies and fresh messages are staged for step ``t + 1``.
 
-        The join hands its pairs over in chunks of at most
-        ``max(n_live, JOIN_CHUNK_FLOOR)`` candidates (one sender's may be
-        more); how the pairs are chunked never changes a result."""
+        Receivers are the whole population in id order, so a receiver's
+        index is its id.  The join hands its pairs over in chunks of at most
+        ``max(num_ses, JOIN_CHUNK_FLOOR)`` candidates, unless one sender's
+        candidates alone are more; how the pairs are chunked never changes
+        a result."""
         cfg = self.config
         # Canonical order: every receiver's cache sees the same sequence no
         # matter who staged each transmission.
         txs = sorted(self._staged, key=_tx_order)
         self._staged = outgoing = []
-        # Live receivers first; frozen ones after.
-        live = [e for lp in self.lps for e in lp.entities.values()]
-        receivers = live + [e for lp in self.lps for e in lp.delegated.values()]
-        n_live = len(live)
-        ids = np.fromiter(map(attrgetter("id"), receivers), dtype=np.int64, count=len(receivers))
-        live_ids = ids[:n_live]
         if txs:
-            xs = np.fromiter(map(attrgetter("x"), receivers), dtype=np.float64, count=len(receivers))
-            ys = np.fromiter(map(attrgetter("y"), receivers), dtype=np.float64, count=len(receivers))
+            entities = self.entities
+            xs = np.fromiter(map(attrgetter("x"), entities), dtype=np.float64, count=len(entities))
+            ys = np.fromiter(map(attrgetter("y"), entities), dtype=np.float64, count=len(entities))
             msg_ids, senders, ttls, sxs, sys_ = zip(*txs)
             origins, seqs = np.array(msg_ids, dtype=np.int64).T
             senders = np.array(senders, dtype=np.int64)
             ttls = np.array(ttls, dtype=np.int64)
-            # Object arrays: a chunk picks its receipts' ids and caches by fancy indexing.
+            # An object array: a chunk picks its receipts' ids by fancy indexing.
             msg_ids = np.fromiter(msg_ids, dtype=object, count=len(txs))
-            caches = np.fromiter(map(attrgetter("cache"), live), dtype=object, count=n_live)
             # One cell-list join; its pairs arrive in receipt order, in chunks
-            # of O(n_live) candidates.  The gates do not depend on cache
+            # of O(num_ses) candidates.  The gates do not depend on cache
             # state, so touching a chunk's caches first and then gating its
             # fresh copies at once changes nothing.
-            budget = max(n_live, JOIN_CHUNK_FLOOR)
+            budget = max(len(entities), JOIN_CHUNK_FLOOR)
             chunks = self.world.join(np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, budget)
             for tx, rx, dx, dy in chunks:
-                live_rx = rx < n_live
+                live_rx = ~self.frozen[rx]
                 # Frozen receivers get nothing; the drop is still accounted.
                 part["dropped_delegated"] += len(rx) - int(np.count_nonzero(live_rx))
-                keep = np.flatnonzero(live_rx & (ids[rx] != senders[tx]))
+                keep = np.flatnonzero(live_rx & (rx != senders[tx]))
                 if not len(keep):
                     continue
                 tx, rx = tx[keep], rx[keep]
                 rx_msgs = msg_ids[tx].tolist()
                 # The one Python call per receipt: it touches the receiver's
                 # cache and answers True for a duplicate.
-                touches = map(relay_step, caches[rx].tolist(), rx_msgs)
+                touches = map(relay_step, self.caches[rx].tolist(), rx_msgs)
                 dups = np.fromiter(touches, dtype=bool, count=len(rx_msgs))
-                self.audit.record_many(rx_msgs, ids[rx], int(ttls[tx].min()))
+                self.audit.record_many(rx_msgs, rx, int(ttls[tx].min()))
                 # Only a fresh copy is delivered and may be forwarded, so
                 # only fresh copies are gated, in receipt order.
                 fresh = np.flatnonzero(~dups)
                 part["duplicates"] += len(rx_msgs) - len(fresh)
                 part["delivered"] += len(fresh)
                 keep, tx, rx = keep[fresh], tx[fresh], rx[fresh]
-                gates = forward_gates(ttls[tx], dx[keep], dy[keep], ids[rx], origins[tx], seqs[tx], cfg)
+                gates = forward_gates(ttls[tx], dx[keep], dy[keep], rx, origins[tx], seqs[tx], cfg)
                 fwd_tx, fwd_rx = tx[gates], rx[gates]
                 part["forwarded"] += len(fwd_tx)
                 outgoing.extend(
                     zip(
                         msg_ids[fwd_tx].tolist(),
-                        ids[fwd_rx].tolist(),
+                        fwd_rx.tolist(),
                         (ttls[fwd_tx] - 1).tolist(),
                         xs[fwd_rx].tolist(),
                         ys[fwd_rx].tolist(),
@@ -325,9 +326,10 @@ class SimEngine:
 
         # Fresh traffic, in id order so staging order is reproducible.
         if cfg.generation_prob > 0:
+            live_ids = np.flatnonzero(~self.frozen)
             coins = rng.unit_uniforms((cfg.seed, rng.GENERATION), live_ids, t)
-            winners = np.flatnonzero(coins < cfg.generation_prob).tolist()
-            for entity in sorted((live[i] for i in winners), key=attrgetter("id")):
+            for eid in live_ids[coins < cfg.generation_prob].tolist():
+                entity = self.entities[eid]
                 msg_id, ttl = generate_message(entity.id, entity.next_seq, cfg)
                 entity.next_seq += 1
                 entity.cache.touch(msg_id)  # never re-deliver to self
@@ -348,25 +350,22 @@ class SimEngine:
                     entity.mob_rng,
                 )
 
-    def _reintegrate(self, lp: LogicalProcess) -> None:
-        """Return the entities of last step's sessions to ``lp``."""
-        for entity, x, y in lp.pending_reint:
-            entity.x, entity.y = x, y
-            del lp.delegated[entity.id]
-            lp.entities[entity.id] = entity
-        lp.pending_reint.clear()
-
     def _phase_migrate_out(self, lp: LogicalProcess) -> None:
-        # Reintegrations from last step's sessions re-enter here, then the
-        # normal stripe sweep re-homes whoever moved.
-        self._reintegrate(lp)
         entities = list(lp.entities.values())
         stripes = stripe_of(entities, self.world, self.config.num_lps)
         for k in np.flatnonzero(stripes != lp.lp_id).tolist():
             self._migrating.append(lp.entities.pop(entities[k].id))
 
     def _phase_migrate_in(self) -> None:
-        """Hand every migrating entity to the LP of its new stripe."""
+        """Unfreeze the entities back from last step's sessions, then hand
+        them and every migrating entity to the LP of its stripe; the end of
+        ``run()`` calls it too, so this is the one way back from a session."""
+        for lp in self.lps:
+            for entity, x, y in lp.pending_reint:
+                entity.x, entity.y = x, y
+                self.frozen[entity.id] = False
+                self._migrating.append(entity)
+            lp.pending_reint.clear()
         stripes = stripe_of(self._migrating, self.world, self.config.num_lps).tolist()
         for entity, stripe in zip(self._migrating, stripes):
             self.lps[stripe].entities[entity.id] = entity
@@ -388,7 +387,7 @@ class SimEngine:
         )[: trigger.entity_count]
         for entity in chosen:
             del lp.entities[entity.id]
-            lp.delegated[entity.id] = entity
+            self.frozen[entity.id] = True
         return chosen
 
     def _session_init(
@@ -423,7 +422,7 @@ class SimEngine:
             else:
                 final, child_rss = _drive_subprocess(init, t, transcript, self._template)
             # The client checked the ids against INIT; the positions are checked
-            # here, and applied at the next reintegration (frozen until then).
+            # here, and applied at the next migrate-in (frozen until then).
             for r in final.entities:
                 if not (-REGION_TOL <= r.x <= lp.x1 - lp.x0 + REGION_TOL) or not (
                     -REGION_TOL <= r.y <= self.world.height + REGION_TOL
@@ -432,7 +431,7 @@ class SimEngine:
                         "region-violation",
                         f"entity {r.id} returned at local ({r.x}, {r.y}), outside its region",
                     )
-                lp.pending_reint.append((lp.delegated[r.id], *self.world.wrap(lp.x0 + r.x, r.y)))
+                lp.pending_reint.append((self.entities[r.id], *self.world.wrap(lp.x0 + r.x, r.y)))
         except Exception as exc:
             raise SimulationError(f"L1 session {instance_id} failed: {exc}") from exc
         ended = time.perf_counter()
@@ -517,7 +516,7 @@ class SimEngine:
             timestep=t,
             **part,
             active=sum(len(lp.entities) for lp in self.lps),
-            delegated=sum(len(lp.delegated) for lp in self.lps),
+            delegated=int(np.count_nonzero(self.frozen)),
             deliver_wct=deliver_wct,
             lp_wct=tuple(lp_wct),
         )
@@ -537,8 +536,7 @@ class SimEngine:
             reports = [self.advance_timestep(t) for t in range(self.config.total_timesteps)]
             # A trigger on the last step leaves reintegrations pending; apply
             # them so the final state is whole (the sessions did complete).
-            for lp in self.lps:
-                self._reintegrate(lp)
+            self._phase_migrate_in()
         except Exception as exc:
             raise SimulationError(f"run aborted: {exc}") from exc
         finally:
@@ -546,13 +544,9 @@ class SimEngine:
                 self._template.close()
                 self._template = None
 
-        entities: dict[int, Entity] = {}
-        for lp in self.lps:
-            entities.update(lp.entities)
-            entities.update(lp.delegated)
         return RunResult(
             config=self.config,
-            entities=entities,
+            entities={e.id: e for e in self.entities},
             reports=reports,
             session_logs=self.session_logs,
             audit=self.audit,

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import json
 import os
 import re
@@ -323,10 +324,19 @@ def test_cli_simulate_writes_report(capsys):
             "--out", "-",
         ]
     )
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert out.startswith("timestep,generated,forwarded,delivered,")
-    assert "ok ses=10 lps=1 steps=3 seed=2" in out
+    # stdout is the CSV and nothing else; the summary line goes to stderr.
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [int(row["timestep"]) for row in rows] == [0, 1, 2]
+    assert captured.err.startswith("ok ses=10 lps=1 steps=3 seed=2")
+
+
+def test_cli_simulate_refuses_two_reports_on_stdout(capsys):
+    assert main(["simulate", "--ses", "10", "--out", "-", "--json-metrics", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: --out - and --json-metrics -" in captured.err
 
 
 def test_cli_simulate_json_metrics(capsys):
@@ -418,15 +428,55 @@ def test_cli_sweep_runs_plan(tmp_path, capsys):
     assert lines[2].split(",")[:4] == ["num_ses", "12", "ok", "1"]
 
 
-def test_every_name_the_benchmark_traces_resolves(monkeypatch):
-    # perfbench wraps these by name from outside the package, and its own
-    # tests are not part of this suite: a rename must fail here too.
+def _load_tracing(monkeypatch):
+    """perfbench's tracer module, loaded from its file: perfbench is not a package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench wraps these by name from outside the package, and its own
+    # tests are not part of this suite: a rename must fail here too.
+    tracing = _load_tracing(monkeypatch)
     targets = tracing.targets()
     missing = [(name, attr) for name, owner, attr, _ in targets if attr not in vars(owner)]
     assert targets
     assert missing == []
+
+
+def test_every_name_the_benchmark_traces_is_called(monkeypatch):
+    # A name that still resolves but that the engine no longer calls would
+    # make its per-layer metric read 0 on working code.
+    tracing = _load_tracing(monkeypatch)
+    cfg = SimConfig(
+        num_ses=40,
+        num_lps=2,
+        total_timesteps=3,
+        generation_prob=0.2,
+        l1_schedule=(SpawnTrigger(1, 0, 2), SpawnTrigger(1, 1, 2)),
+        l1_fine_steps_per_timestep=20,
+        l1_transport="loopback",
+        seed=5,
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = run_simulation(cfg)
+    finally:
+        tracer.uninstall()
+    assert {log.lp_id for log in result.session_logs} == {0, 1}
+    seen = {s.name for s in tracer.spans} | set(tracer.tallies())
+    exempt = {
+        "protocol.connect",  # TCP sessions only
+        "protocol.serve",  # the session child's side, never the engine's
+        "rng.unit_uniform",  # the scalar reference draw; the engine draws in arrays
+        "bench.collect_metrics",  # called by perfbench's worker around the run
+        "bench.measure_peak_memory",
+    }
+    names = {name for name, *_ in tracing.targets()}
+    assert exempt <= names
+    assert sorted(names - exempt - seen) == []

@@ -181,8 +181,8 @@ def test_delegate_entities_picks_nearest_to_stripe_centroid():
     chosen = engine.delegate_entities(lp, SpawnTrigger(0, 0, 2))
     # Centroid is (50, 50); ids 1 and 2 tie at distance 10, lower id wins.
     assert [e.id for e in chosen] == [0, 1]
-    assert set(lp.delegated) == {0, 1}
-    assert all(lp.delegated[e.id] is e for e in chosen)
+    assert np.flatnonzero(engine.frozen).tolist() == [0, 1]
+    assert all(engine.entities[e.id] is e for e in chosen)
     assert set(lp.entities) == {2, 3, 4}
 
     with pytest.raises(SimulationError):
@@ -203,11 +203,14 @@ def test_delegated_receivers_are_counted_as_drops():
     result = run_simulation(cfg)
     by_step = {r.timestep: r for r in result.reports}
     assert by_step[0].delegated == 3
+    assert all(type(r.delegated) is int for r in result.reports)  # a plain int, for JSON and CSV
     # While frozen, each of the ten step-0 discs covers all three absentees.
     assert by_step[1].dropped_delegated == 30
     assert by_step[1].delegated == 0  # reintegrated before its sessions phase
     assert by_step[2].dropped_delegated == 0
     assert result.totals()["dropped_delegated"] == 30
+    # Frozen entities do not generate: three fewer messages at step 1.
+    assert [r.generated for r in result.reports] == [10, 7, 10]
     # Exactly one session ran, touching three entities.
     (log,) = result.session_logs
     assert log.instance_id == "t0-lp0-0"
