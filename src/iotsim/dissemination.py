@@ -68,19 +68,17 @@ def generate_message(origin_id: int, seq: int, config: SimConfig) -> tuple[MsgId
     return (origin_id, seq), config.ttl
 
 
-def should_forward(
-    ttl_remaining: int, cache_hit: bool, sender_distance: float, random_draw: float, config: SimConfig
-) -> bool:
-    """Gossip gate, applied by a receiver to a copy it just got.
+def should_forward(ttl_remaining: int, sender_distance: float, random_draw: float, config: SimConfig) -> bool:
+    """Gossip gate, applied by a receiver to a fresh copy it just got.
 
     The copy is relayed iff it can still travel (a relayed copy would carry
     ttl_remaining - 1, which must stay positive so the next receivers count
-    within the hop budget), it is not a duplicate, the transmitter is strictly
-    farther than the forwarding threshold, and the coin flip passes.
+    within the hop budget), the transmitter is strictly farther than the
+    forwarding threshold, and the coin flip passes.  A duplicate is never
+    gated (see ``relay_step``).
     """
     return (
         ttl_remaining - 1 > 0
-        and not cache_hit
         and sender_distance > config.forwarding_threshold
         and random_draw < config.dissemination_prob
     )
@@ -126,7 +124,7 @@ def forward_gates(
     gates[drawn] = coins < config.dissemination_prob
     for k in np.flatnonzero(near[drawn]).tolist():
         i = drawn[k]
-        gates[i] = should_forward(int(ttls[i]), False, math.hypot(dx[i], dy[i]), float(coins[k]), config)
+        gates[i] = should_forward(int(ttls[i]), math.hypot(dx[i], dy[i]), float(coins[k]), config)
     return gates
 
 

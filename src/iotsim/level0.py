@@ -8,15 +8,17 @@ runs in fixed phases:
 
   (1) deliver, once for the whole world: every transmission staged last step
       is received exactly one step after it was emitted, by every live
-      entity in its disc, in one canonical order.  One cell-list join of
-      the step's transmissions with every entity, in id order, gives the
-      pairs in that order; they are received in chunks of O(entities).  A
-      hit on a frozen (delegated) entity counts as ``dropped_delegated``.
-      A chunk first touches each receiver's cache, one Python call per
-      receipt, which tells the duplicates apart; then the forward gates
-      (distance, hop budget, coin) of its fresh copies are computed at
-      once.  Then live entities generate.
-      Relayed copies and fresh messages are staged for the next step,
+      entity in its disc, in one canonical order.  Staged transmissions
+      are column blocks; one stable ``lexsort`` of their concatenation puts
+      them in (message id, sender) order.  One cell-list join of the step's
+      transmissions with every entity, in id order, gives the pairs in that
+      order; they are received in chunks of O(entities).  A hit on a frozen
+      (delegated) entity counts as ``dropped_delegated``.  A chunk first
+      touches each receiver's cache, one Python call per receipt, which
+      tells the duplicates apart; then the forward gates (distance, hop
+      budget, coin) of its fresh copies are computed at once.  Then live
+      entities generate.  Each chunk's relayed copies and the fresh
+      messages are staged for the next step as column blocks,
   (2) for each LP in id order: step mobility, then stage for migration the
       entities whose position crossed a stripe boundary,
   (3) unfreeze the entities back from last step's sessions at their new
@@ -48,7 +50,7 @@ import threading
 import time
 from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, TextIO
 
 import numpy as np
@@ -218,12 +220,6 @@ class RunResult:
         return (tuple(sorted(totals.items())), per_step, positions)
 
 
-# One transmission in flight: message id, sender, hops left, where it was sent from.
-_Tx = tuple[MsgId, int, int, float, float]
-# Canonical delivery order; the sort is stable, so ties keep staging order.
-_tx_order = itemgetter(0, 1)
-
-
 class SimEngine:
     """Builds the world, runs the step loop, owns all cross-LP plumbing."""
 
@@ -251,8 +247,9 @@ class SimEngine:
             import socket  # noqa: F401
             import subprocess  # noqa: F401
 
-        # Transmissions staged for the next deliver, and entities leaving their stripe.
-        self._staged: list[_Tx] = []
+        # Blocks of transmissions staged for the next deliver (message ids, origins,
+        # seqs, senders, hops left, x, y), and entities leaving their stripe.
+        self._staged: list[tuple[np.ndarray, ...]] = []
         self._migrating: list[Entity] = []
         self.audit = DeliveryAudit(config.ttl, record_receipts)
         self.session_logs: list[SessionLog] = []
@@ -265,33 +262,33 @@ class SimEngine:
         """Step ``t``'s one deliver: receive last step's transmissions, then
         generate; relayed copies and fresh messages are staged for step ``t + 1``.
 
-        Receivers are the whole population in id order, so a receiver's
-        index is its id.  The join hands its pairs over in chunks of at most
-        ``max(num_ses, JOIN_CHUNK_FLOOR)`` candidates, unless one sender's
-        candidates alone are more; how the pairs are chunked never changes
-        a result."""
+        Staged transmissions are column blocks, one per chunk that relays
+        anything and one for generation.  Receivers are the whole population
+        in id order, so a receiver's index is its id.  The join hands its
+        pairs over in chunks of at most ``max(num_ses, JOIN_CHUNK_FLOOR)``
+        candidates, unless one sender's candidates alone are more; how the
+        pairs are chunked never changes a result."""
         cfg = self.config
-        # Canonical order: every receiver's cache sees the same sequence no
-        # matter who staged each transmission.
-        txs = sorted(self._staged, key=_tx_order)
-        self._staged = outgoing = []
-        if txs:
-            entities = self.entities
-            xs = np.fromiter(map(attrgetter("x"), entities), dtype=np.float64, count=len(entities))
-            ys = np.fromiter(map(attrgetter("y"), entities), dtype=np.float64, count=len(entities))
-            msg_ids, senders, ttls, sxs, sys_ = zip(*txs)
-            origins, seqs = np.array(msg_ids, dtype=np.int64).T
-            senders = np.array(senders, dtype=np.int64)
-            ttls = np.array(ttls, dtype=np.int64)
-            # An object array: a chunk picks its receipts' ids by fancy indexing.
-            msg_ids = np.fromiter(msg_ids, dtype=object, count=len(txs))
+        entities = self.entities
+        # Read by both the join and the staging.
+        xs = np.fromiter(map(attrgetter("x"), entities), dtype=np.float64, count=len(entities))
+        ys = np.fromiter(map(attrgetter("y"), entities), dtype=np.float64, count=len(entities))
+        blocks, self._staged = self._staged, []
+        if blocks:
+            # ``msg_ids`` is an object array of the tuples generation made: a
+            # chunk picks its receipts' ids by fancy indexing, which shares them.
+            msg_ids, origins, seqs, senders, ttls, sxs, sys_ = map(np.concatenate, zip(*blocks))
+            # Canonical order: every receiver's cache sees the same sequence no
+            # matter who staged each transmission; ties keep staging order.
+            order = np.lexsort((senders, seqs, origins))
             # One cell-list join; its pairs arrive in receipt order, in chunks
             # of O(num_ses) candidates.  The gates do not depend on cache
             # state, so touching a chunk's caches first and then gating its
             # fresh copies at once changes nothing.
             budget = max(len(entities), JOIN_CHUNK_FLOOR)
-            chunks = self.world.join(np.array(sxs), np.array(sys_), xs, ys, cfg.interaction_range, budget)
+            chunks = self.world.join(sxs[order], sys_[order], xs, ys, cfg.interaction_range, budget)
             for tx, rx, dx, dy in chunks:
+                tx = order[tx]
                 live_rx = ~self.frozen[rx]
                 # Frozen receivers get nothing; the drop is still accounted.
                 part["dropped_delegated"] += len(rx) - int(np.count_nonzero(live_rx))
@@ -312,29 +309,28 @@ class SimEngine:
                 part["delivered"] += len(fresh)
                 keep, tx, rx = keep[fresh], tx[fresh], rx[fresh]
                 gates = forward_gates(ttls[tx], dx[keep], dy[keep], rx, origins[tx], seqs[tx], cfg)
-                fwd_tx, fwd_rx = tx[gates], rx[gates]
-                part["forwarded"] += len(fwd_tx)
-                outgoing.extend(
-                    zip(
-                        msg_ids[fwd_tx].tolist(),
-                        fwd_rx.tolist(),
-                        (ttls[fwd_tx] - 1).tolist(),
-                        xs[fwd_rx].tolist(),
-                        ys[fwd_rx].tolist(),
-                    )
-                )
+                fwd, rx = tx[gates], rx[gates]
+                part["forwarded"] += len(fwd)
+                if len(fwd):
+                    self._staged.append((msg_ids[fwd], origins[fwd], seqs[fwd], rx, ttls[fwd] - 1, xs[rx], ys[rx]))
 
         # Fresh traffic, in id order so staging order is reproducible.
         if cfg.generation_prob > 0:
             live_ids = np.flatnonzero(~self.frozen)
             coins = rng.unit_uniforms((cfg.seed, rng.GENERATION), live_ids, t)
-            for eid in live_ids[coins < cfg.generation_prob].tolist():
-                entity = self.entities[eid]
-                msg_id, ttl = generate_message(entity.id, entity.next_seq, cfg)
+            born = live_ids[coins < cfg.generation_prob]
+            new_ids = np.empty(len(born), dtype=object)
+            new_seqs = np.empty(len(born), dtype=np.int64)
+            new_ttls = np.empty(len(born), dtype=np.int64)
+            for k, eid in enumerate(born.tolist()):
+                entity = entities[eid]
+                new_ids[k], new_ttls[k] = generate_message(eid, entity.next_seq, cfg)
+                new_seqs[k] = entity.next_seq
                 entity.next_seq += 1
-                entity.cache.touch(msg_id)  # never re-deliver to self
-                part["generated"] += 1
-                outgoing.append((msg_id, entity.id, ttl, entity.x, entity.y))
+                entity.cache.touch(new_ids[k])  # never re-deliver to self
+            part["generated"] += len(born)
+            if len(born):
+                self._staged.append((new_ids, born, new_seqs, born, new_ttls, xs[born], ys[born]))
 
     def _phase_mobility(self, lp: LogicalProcess) -> None:
         cfg = self.config

@@ -146,9 +146,7 @@ def test_c02_forwarding_rate_tracks_probability(verdicts):
     forwards = 0
     for i in range(n):
         draw = rng.unit_uniform(cfg.seed, rng.FORWARD, i, 1, 0)
-        if should_forward(
-            ttl_remaining, cache_hit=False, sender_distance=300.0, random_draw=draw, config=cfg
-        ):
+        if should_forward(ttl_remaining, sender_distance=300.0, random_draw=draw, config=cfg):
             forwards += 1
     rate = forwards / n
     _verdict(

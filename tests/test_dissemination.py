@@ -84,25 +84,23 @@ def test_generate_message_fields():
 def test_forward_gate_each_condition():
     cfg = SimConfig(dissemination_prob=0.6, forwarding_threshold=200.0, ttl=4)
 
-    # Arguments: ttl_remaining, cache_hit, sender_distance, random_draw.
-    assert should_forward(4, False, 300.0, 0.1, cfg)
+    # Arguments: ttl_remaining, sender_distance, random_draw.
+    assert should_forward(4, 300.0, 0.1, cfg)
     # A relayed copy would carry ttl 0 and could not travel: no forward.
-    assert not should_forward(1, False, 300.0, 0.1, cfg)
-    assert not should_forward(0, False, 300.0, 0.1, cfg)
-    # Duplicate suppression.
-    assert not should_forward(4, True, 300.0, 0.1, cfg)
+    assert not should_forward(1, 300.0, 0.1, cfg)
+    assert not should_forward(0, 300.0, 0.1, cfg)
     # Sender at exactly the threshold is "near": no forward.
-    assert not should_forward(4, False, 200.0, 0.1, cfg)
+    assert not should_forward(4, 200.0, 0.1, cfg)
     # Coin flip must be strictly below the probability.
-    assert not should_forward(4, False, 300.0, 0.6, cfg)
-    assert should_forward(4, False, 300.0, 0.5999, cfg)
+    assert not should_forward(4, 300.0, 0.6, cfg)
+    assert should_forward(4, 300.0, 0.5999, cfg)
 
 
 def test_certain_gossip_always_forwards_while_travel_remains():
     cfg = SimConfig(dissemination_prob=1.0, forwarding_threshold=0.0)
     for ttl in (2, 3, 4, 10):
-        assert should_forward(ttl, cache_hit=False, sender_distance=0.001, random_draw=0.999, config=cfg)
-    assert not should_forward(1, cache_hit=False, sender_distance=0.001, random_draw=0.0, config=cfg)
+        assert should_forward(ttl, sender_distance=0.001, random_draw=0.999, config=cfg)
+    assert not should_forward(1, sender_distance=0.001, random_draw=0.0, config=cfg)
 
 
 def test_relay_step_fresh_copy_is_not_a_duplicate_and_is_cached():
@@ -146,7 +144,7 @@ def _gate_sample(threshold, seed=5, n=20_000):
 def _scalar_gates(ttls, dx, dy, receivers, origins, seqs, cfg):
     return [
         should_forward(
-            int(ttl), False, math.hypot(x, y), rng.unit_uniform(cfg.seed, rng.FORWARD, r, o, q), cfg
+            int(ttl), math.hypot(x, y), rng.unit_uniform(cfg.seed, rng.FORWARD, r, o, q), cfg
         )
         for ttl, x, y, r, o, q in zip(ttls, dx, dy, receivers.tolist(), origins.tolist(), seqs.tolist())
     ]

@@ -901,12 +901,26 @@ def test_relayed_copies_spend_one_hop_per_step():
     first_seen: dict = {}
     hop_counts = set()
     for t in range(cfg.total_timesteps):
-        for msg_id, sender, ttl, _, _ in engine._staged:
-            hops = t - first_seen.setdefault(msg_id, t)
-            assert ttl == cfg.ttl - hops, (msg_id, sender, t)
-            hop_counts.add(hops)
+        for msg_ids, _, _, senders, ttls, _, _ in engine._staged:
+            for msg_id, sender, ttl in zip(msg_ids.tolist(), senders.tolist(), ttls.tolist()):
+                hops = t - first_seen.setdefault(msg_id, t)
+                assert ttl == cfg.ttl - hops, (msg_id, sender, t)
+                hop_counts.add(hops)
         engine.advance_timestep(t)
     assert hop_counts == set(range(cfg.ttl))
+
+
+def test_copies_of_a_message_share_one_id_object():
+    # Every relayed copy, and every cache key, is the tuple generation made
+    # for its message, so a message costs its caches one key object, not one
+    # per cache that holds it.
+    cfg = SimConfig(num_ses=300, total_timesteps=8, generation_prob=0.05, seed=5)
+    engine = SimEngine(cfg)
+    for t in range(cfg.total_timesteps):
+        engine.advance_timestep(t)
+    keys = [k for cache in engine.caches for k in cache._entries]
+    assert len(set(keys)) > 100
+    assert len({id(k) for k in keys}) == len(set(keys))
 
 
 def test_tallied_receipts_equal_delivered_plus_duplicates():
