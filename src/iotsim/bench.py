@@ -14,8 +14,9 @@ import json
 import os
 import statistics
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import ContextManager, Optional, TextIO
 
 from . import rng
 from .config import OPTIONS, ConfigError, SimConfig, SpawnTrigger, config_to_file_text
@@ -249,14 +250,25 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
     return rows
 
 
-def write_csv(rows: list[dict], out_path: str) -> None:
-    import csv
+def open_output(out: str | TextIO, flag: str = "--out") -> ContextManager[TextIO]:
+    """``out`` ready for writing, as a context manager.
 
-    target = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
+    A path is opened now and closed on exit; ``-`` is stdout and an open file
+    is itself, neither closed on exit.  A path that cannot be opened is a
+    ``ConfigError`` naming ``flag``, so a command can refuse it before it runs.
+    """
+    if not isinstance(out, str) or out == "-":
+        return nullcontext(sys.stdout if out == "-" else out)
     try:
+        return open(out, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {out!r}: {exc.strerror}") from None
+
+
+def write_csv(rows: list[dict], out: str | TextIO) -> None:
+    import csv  # here, not at the top: only sweeps load it
+
+    with open_output(out) as target:
         writer = csv.DictWriter(target, fieldnames=CSV_COLUMNS, restval="")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if target is not sys.stdout:
-            target.close()

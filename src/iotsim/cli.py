@@ -5,10 +5,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Optional
+from contextlib import ExitStack
+from typing import Optional, TextIO
 
-from .bench import SWEEP_OPTIONS, ExperimentPlan, collect_metrics, measure_peak_memory, run_experiment, write_csv
+from .bench import (
+    SWEEP_OPTIONS,
+    ExperimentPlan,
+    collect_metrics,
+    measure_peak_memory,
+    open_output,
+    run_experiment,
+    write_csv,
+)
 from .config import OPTIONS, ConfigError, SimConfig, parse_option, read_config_file, read_key_values
 from .level0 import SimulationError, run_simulation
 from .protocol import ProtocolError
@@ -55,7 +63,7 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 # -- simulate -----------------------------------------------------------------
 
 
-def _write_report_csv(result, out_path: str) -> None:
+def _write_report_csv(result, out: str | TextIO) -> None:
     import csv  # here, not at the top: only runs given --out load it
 
     columns = [
@@ -69,8 +77,7 @@ def _write_report_csv(result, out_path: str) -> None:
         "delegated",
         "step_wct",
     ]
-    target = sys.stdout if out_path == "-" else open(out_path, "w", newline="")
-    try:
+    with open_output(out) as target:
         writer = csv.writer(target)
         writer.writerow(columns)
         for r in result.reports:
@@ -87,25 +94,24 @@ def _write_report_csv(result, out_path: str) -> None:
                     f"{r.deliver_wct + max(r.lp_wct):.6f}",
                 ]
             )
-    finally:
-        if target is not sys.stdout:
-            target.close()
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out == "-" and args.json_metrics == "-":
         raise ConfigError("--out - and --json-metrics - would both write to stdout; give one a file")
     config = _config_from_args(args)
-    result = run_simulation(config)
-    metrics = collect_metrics(result, measure_peak_memory())
-    if args.out:
-        _write_report_csv(result, args.out)
-    if args.json_metrics:
-        payload = json.dumps(metrics.to_json_obj(), indent=None)
-        if args.json_metrics == "-":
-            print(payload)
-        else:
-            Path(args.json_metrics).write_text(payload + "\n")
+    with ExitStack() as outputs:
+        # Opened before the run, so an output that cannot be written costs no run.
+        out = args.out and outputs.enter_context(open_output(args.out))
+        json_out = args.json_metrics and outputs.enter_context(
+            open_output(args.json_metrics, "--json-metrics")
+        )
+        result = run_simulation(config)
+        metrics = collect_metrics(result, measure_peak_memory())
+        if out:
+            _write_report_csv(result, out)
+        if json_out:
+            json_out.write(json.dumps(metrics.to_json_obj(), indent=None) + "\n")
     if args.json_metrics != "-":
         totals = result.totals()
         print(
@@ -127,12 +133,14 @@ def read_plan_file(path: str) -> ExperimentPlan:
     """Parse an experiment plan: plan keys plus base-config overrides."""
     plan: dict[str, tuple[str, str]] = {}
     config_updates: dict[str, object] = {}
+    set_at: dict[str, tuple[str, str]] = {}  # field -> (key, "path:line")
     for key, value, where in read_key_values(path):
         if key in _PLAN_KEYS:
             plan[key] = (value, where)
         else:
             field_name, parsed = parse_option(key, value, where)
             config_updates[field_name] = parsed
+            set_at[field_name] = (key, where)
     if "axis" not in plan or "values" not in plan:
         raise ConfigError(f"{path}: plan needs at least axis= and values=")
     axis, where = plan["axis"]
@@ -142,6 +150,12 @@ def read_plan_file(path: str) -> ExperimentPlan:
             f"{where}: cannot sweep {axis!r}; an axis is an option or field name "
             "other than seed and l1-schedule, or l1-activations"
         )
+    # The axis overrides its field in every run: a base value for it would be lost.
+    swept = SWEEP_OPTIONS[name][0]
+    clash = set_at.get("l1_schedule" if swept == "num_l1_activations" else swept)
+    if clash:
+        key, at = clash
+        raise ConfigError(f"{at}: {key!r} is swept by axis={axis} on line {where.rpartition(':')[2]}")
     text, values_at = plan["values"]
     entries = text.split(",")
     if not all(v.strip() for v in entries):
@@ -166,8 +180,10 @@ def read_plan_file(path: str) -> ExperimentPlan:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = run_experiment(read_plan_file(args.plan))
-    write_csv(rows, args.out)
+    plan = read_plan_file(args.plan)
+    with open_output(args.out) as out:  # before the run: a bad --out costs no run
+        rows = run_experiment(plan)
+        write_csv(rows, out)
     failed = [r for r in rows if r["status"] == "failed"]
     if failed:
         print(f"{len(failed)} of {len(rows)} sweep points failed", file=sys.stderr)

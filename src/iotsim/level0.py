@@ -8,17 +8,17 @@ runs in fixed phases:
 
   (1) deliver, once for the whole world: every transmission staged last step
       is received exactly one step after it was emitted, by every live
-      entity in its disc, in one canonical order.  Staged transmissions
-      are column blocks; one stable ``lexsort`` of their concatenation puts
-      them in (message id, sender) order.  One cell-list join of the step's
-      transmissions with every entity, in id order, gives the pairs in that
-      order; they are received in chunks of O(entities).  A hit on a frozen
-      (delegated) entity counts as ``dropped_delegated``.  A chunk first
-      touches each receiver's cache, one Python call per receipt, which
-      tells the duplicates apart; then the forward gates (distance, hop
-      budget, coin) of its fresh copies are computed at once.  Then live
-      entities generate.  Each chunk's relayed copies and the fresh
-      messages are staged for the next step as column blocks,
+      entity in its disc, in one canonical order.  Staged transmissions are
+      column blocks; one stable ``lexsort`` of their concatenation puts them
+      in (message id, sender) order.  One cell-list join of the step's
+      transmissions with every entity, in id order, gives the pairs grouped
+      by transmission in that order, each transmission's receivers in no set
+      order, in chunks of O(entities).  A hit on a frozen (delegated) entity
+      counts as ``dropped_delegated``.  A chunk first touches each receiver's
+      cache, one Python call per receipt, which tells the duplicates apart;
+      then the forward gates (distance, hop budget, coin) of its fresh copies
+      are computed at once.  Then live entities generate.  Each chunk's
+      relayed copies and the fresh messages are staged as column blocks,
   (2) for each LP in id order: step mobility, then stage for migration the
       entities whose position crossed a stripe boundary,
   (3) unfreeze the entities back from last step's sessions at their new
@@ -263,32 +263,32 @@ class SimEngine:
         generate; relayed copies and fresh messages are staged for step ``t + 1``.
 
         Staged transmissions are column blocks, one per chunk that relays
-        anything and one for generation.  Receivers are the whole population
-        in id order, so a receiver's index is its id.  The join hands its
-        pairs over in chunks of at most ``max(num_ses, JOIN_CHUNK_FLOOR)``
-        candidates, unless one sender's candidates alone are more; how the
-        pairs are chunked never changes a result."""
+        anything and one for generation, put in canonical order once.
+        Receivers are the whole population in id order, so a receiver's index
+        is its id.  The join hands its pairs over grouped by transmission, in
+        chunks of at most ``max(num_ses, JOIN_CHUNK_FLOOR)`` candidates, unless
+        one sender's candidates alone are more; neither the chunking nor the
+        order of one transmission's receivers changes a result."""
         cfg = self.config
         entities = self.entities
         # Read by both the join and the staging.
         xs = np.fromiter(map(attrgetter("x"), entities), dtype=np.float64, count=len(entities))
         ys = np.fromiter(map(attrgetter("y"), entities), dtype=np.float64, count=len(entities))
-        blocks, self._staged = self._staged, []
-        if blocks:
-            # ``msg_ids`` is an object array of the tuples generation made: a
-            # chunk picks its receipts' ids by fancy indexing, which shares them.
-            msg_ids, origins, seqs, senders, ttls, sxs, sys_ = map(np.concatenate, zip(*blocks))
+        # One array per staged column; the message ids are the tuples generation
+        # made, and a chunk's fancy indexing shares them rather than copying.
+        columns = [np.concatenate(c) for c in zip(*self._staged)]
+        self._staged = []
+        if columns:
             # Canonical order: every receiver's cache sees the same sequence no
             # matter who staged each transmission; ties keep staging order.
-            order = np.lexsort((senders, seqs, origins))
-            # One cell-list join; its pairs arrive in receipt order, in chunks
-            # of O(num_ses) candidates.  The gates do not depend on cache
-            # state, so touching a chunk's caches first and then gating its
-            # fresh copies at once changes nothing.
+            order = np.lexsort((columns[3], columns[2], columns[1]))  # origin, seq, sender
+            msg_ids, origins, seqs, senders, ttls, sxs, sys_ = (c[order] for c in columns)
+            # One cell-list join; its pairs come grouped by transmission, in
+            # canonical order.  The gates do not read cache state, so touching
+            # a chunk's caches first and then gating at once changes nothing.
             budget = max(len(entities), JOIN_CHUNK_FLOOR)
-            chunks = self.world.join(sxs[order], sys_[order], xs, ys, cfg.interaction_range, budget)
+            chunks = self.world.join(sxs, sys_, xs, ys, cfg.interaction_range, budget)
             for tx, rx, dx, dy in chunks:
-                tx = order[tx]
                 live_rx = ~self.frozen[rx]
                 # Frozen receivers get nothing; the drop is still accounted.
                 part["dropped_delegated"] += len(rx) - int(np.count_nonzero(live_rx))

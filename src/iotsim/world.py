@@ -80,8 +80,10 @@ class ToroidalWorld:
         a scan of all points would use, so every boundary decision and every
         offset is the same as that scan's; the boundary is inclusive.
 
-        Yields chunks (centre index, point index, |dx|, |dy|), each sorted by
-        (centre, point); the chunks cover consecutive centres in order.  A
+        Yields chunks (centre index, point index, |dx|, |dy|), grouped by
+        centre, centres ascending; the chunks cover consecutive centres in
+        order.  The order of one centre's points is unspecified: it follows
+        the cell layout and ``np.argsort(cells)``, which is not stable.  A
         chunk's centres have at most ``budget`` candidates (points in their
         blocks) between them, unless a single centre has more.  A chunk's
         candidates are gathered inside the chunk, so no array is sized by
@@ -102,8 +104,7 @@ class ToroidalWorld:
         # ``points`` holds each column of cells, wrapped ``ky`` cells further
         # at both ends, one column after another: the ``2 * ky + 1`` cells of
         # a block's column are one run of it, from ``bounds[top]`` up to
-        # ``bounds[top + 2 * ky + 1]``.  Inside a cell, the order of the
-        # points does not matter, since every chunk is sorted at the end.
+        # ``bounds[top + 2 * ky + 1]``.
         tall = ny + 2 * ky
         padded = (np.arange(nx)[:, None] * ny + np.arange(-ky, ny + ky) % ny).ravel()
         points = np.argsort(cells)[_runs(firsts[padded], counts[padded])]
@@ -134,7 +135,5 @@ class ToroidalWorld:
             dy = np.abs(ys[pt] - cys[ctr])
             np.minimum(dy, self.height - dy, out=dy)
             hit = np.flatnonzero(dx * dx + dy * dy <= r2)
-            # (centre, point) is unique, so no stable sort is needed.
-            hit = hit[np.argsort(ctr[hit] * len(xs) + pt[hit])]
             yield ctr[hit], pt[hit], dx[hit], dy[hit]
             start = stop

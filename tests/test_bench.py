@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import iotsim.bench as bench
+import iotsim.cli as cli
 from iotsim import rng
 from iotsim.bench import (
     ExperimentPlan,
@@ -303,6 +304,14 @@ def test_read_plan_file_rejects_bad_input(tmp_path):
         ("axis=ses\nvalues=10\nseed=1\n\nseed=2\n", ":5", "'seed' is already given on line 3"),
         # A check across the base settings' fields names the plan.
         ("axis=ses\nvalues=10,20\nlps=0\n", "", "num_lps must be >= 1"),
+        # The axis overrides its field in every run, so a base value for it is refused.
+        ("axis=ses\nvalues=10,20\nses=500\n", ":3", "'ses' is swept by axis=ses on line 1"),
+        ("ses=500\n\naxis=num_ses\nvalues=10\n", ":1", "'ses' is swept by axis=num_ses on line 3"),
+        (
+            "axis=l1-activations\nvalues=1,2\nl1-schedule=1:0:1\n",
+            ":3",
+            "'l1-schedule' is swept by axis=l1-activations on line 1",
+        ),
     ):
         path.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(f"{path}{where}: ") + match):
@@ -426,6 +435,34 @@ def test_cli_sweep_runs_plan(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].split(",")[:4] == ["num_ses", "8", "ok", "1"]
     assert lines[2].split(",")[:4] == ["num_ses", "12", "ok", "1"]
+
+
+def test_sweep_with_an_unwritable_out_exits_2_and_starts_no_child(tmp_path, monkeypatch, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("axis=ses\nvalues=8\nreps=1\ntimesteps=3\n")
+    children = []
+
+    def child(config):
+        children.append(config)
+        return collect_metrics(run_simulation(config), None)
+
+    monkeypatch.setattr(bench, "_run_in_subprocess", child)
+    bad = tmp_path / "missing" / "rows.csv"
+    assert main(["sweep", str(plan), "--out", str(bad)]) == 2
+    assert children == []
+    assert f"config error: --out: cannot write '{bad}': No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, other", [("--out", "--json-metrics"), ("--json-metrics", "--out")])
+def test_simulate_with_an_unwritable_output_exits_2_before_the_run(tmp_path, monkeypatch, capsys, flag, other):
+    runs = []
+    monkeypatch.setattr(cli, "run_simulation", runs.append)
+    bad = tmp_path / "missing" / "file"
+    # The other output opens, whichever comes first, and is closed again.
+    code = main(["simulate", "--ses", "10", other, str(tmp_path / "fine"), flag, str(bad)])
+    assert code == 2
+    assert runs == []
+    assert f"config error: {flag}: cannot write '{bad}': No such file or directory" in capsys.readouterr().err
 
 
 def _load_tracing(monkeypatch):

@@ -1008,3 +1008,57 @@ def test_how_the_deliver_is_chunked_never_changes_a_result(monkeypatch):
     assert small.fingerprint() == default.fingerprint()
     assert small.audit.receipts == default.audit.receipts
     assert small.audit.min_ttl_seen == default.audit.min_ttl_seen
+
+
+@pytest.mark.parametrize("capacity", [4, 0])
+def test_the_order_of_a_transmissions_receivers_never_changes_a_result(monkeypatch, capacity):
+    # The join promises centre order only.  A receiver gets at most one pair
+    # per transmission, so shuffling each transmission's receivers leaves
+    # every cache's sequence, and so every result, as it was.  With no cache,
+    # a receiver relays every copy it gets, so staged ties (same origin, seq
+    # and sender) occur, and they must still reach the sort in centre order.
+    cfg = SimConfig(
+        num_ses=300,
+        num_lps=2,
+        total_timesteps=8,
+        generation_prob=0.05,
+        cache_capacity=capacity,
+        l1_schedule=(SpawnTrigger(2, 0, 3), SpawnTrigger(2, 1, 3), SpawnTrigger(5, 1, 3)),
+        l1_fine_steps_per_timestep=50,
+        l1_transport="loopback",
+        seed=31,
+    )
+    plain = run_simulation(cfg, record_receipts=True)
+    real_join, real_deliver = ToroidalWorld.join, SimEngine._phase_deliver
+    draws = np.random.default_rng(33)
+    moved, ties = [], []
+
+    def join(self, *args):
+        for ctr, pt, dx, dy in real_join(self, *args):
+            within = np.lexsort((draws.random(len(ctr)), ctr))  # centres stay in order
+            moved.append(int(np.count_nonzero(within != np.arange(len(ctr)))))
+            yield ctr[within], pt[within], dx[within], dy[within]
+
+    def deliver(self, t, part):
+        if self._staged:
+            keys = np.concatenate([np.stack(block[1:4], axis=1) for block in self._staged])
+            ties.append(len(keys) - len(np.unique(keys, axis=0)))
+        return real_deliver(self, t, part)
+
+    monkeypatch.setattr(ToroidalWorld, "join", join)
+    monkeypatch.setattr(SimEngine, "_phase_deliver", deliver)
+    shuffled = run_simulation(cfg, record_receipts=True)
+    assert sum(moved) > 0
+    if capacity == 0:
+        assert sum(ties) > 0
+    untimed = [
+        [replace(r, deliver_wct=0.0, lp_wct=()) for r in result.reports] for result in (plain, shuffled)
+    ]
+    assert untimed[0] == untimed[1]
+    assert sum(r.dropped_delegated for r in plain.reports) > 0
+    assert shuffled.fingerprint() == plain.fingerprint()
+    assert shuffled.audit.receipts == plain.audit.receipts
+    assert shuffled.audit.min_ttl_seen == plain.audit.min_ttl_seen
+    lru = [[list(result.entities[i].cache._entries) for i in range(cfg.num_ses)] for result in (plain, shuffled)]
+    assert lru[0] == lru[1]
+    assert any(lru[0]) == (capacity > 0)
